@@ -64,7 +64,6 @@ from .analytic import (
 )
 from .fiberorient import (
     OrientationResult,
-    orientation_error,
     structure_tensor_orientation,
 )
 from .volio import load_volume, store_volume

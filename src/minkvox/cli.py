@@ -36,7 +36,6 @@ from .minkowski import (
 from .fiberorient import (
     DEFAULT_MASK_THRESHOLD_REL,
     OrientationResult,
-    orientation_error,
     structure_tensor_orientation,
 )
 from .minkowski import SymTensor3
@@ -436,7 +435,7 @@ def _cmd_fiber_orient(args) -> int:
     if args.reference is not None:
         xx, yy, zz, xy, xz, yz = args.reference
         ref = SymTensor3(np.array([[xx, xy, xz], [xy, yy, yz], [xz, yz, zz]]))
-        err = orientation_error(result.a_est, ref)
+        err = relative_tensor_error(result.a_est, ref)
     if args.format == "json":
         text = json.dumps(_orientation_report(result, err), sort_keys=True, indent=2) + "\n"
     else:

@@ -64,7 +64,8 @@ class VoxelGrid:
             raise ValueError(f"grid dims must all be >= 2, got {vals.shape}")
         if not self.spacing > 0:
             raise ValueError(f"spacing must be positive, got {self.spacing}")
-        if vals.min() < 0.0 or vals.max() > 1.0:
+        # negated so that NaN, which fails every comparison, is rejected too
+        if not (vals.min() >= 0.0 and vals.max() <= 1.0):
             raise ValueError(
                 f"gray values must lie in [0, 1], got range "
                 f"[{vals.min()}, {vals.max()}]"

@@ -31,7 +31,6 @@ from minkvox import (
     cube_symmetries,
     fft_convolve,
     fiber_system_tensors,
-    orientation_error,
     relative_tensor_error,
     steiner_volume,
     structure_tensor_orientation,
@@ -144,7 +143,7 @@ def test_fiber_array_orientation_and_qnt_band():
     orient = structure_tensor_orientation(
         grid, first_kernel=BallKernel(1.2), second_kernel=GaussianKernel(6.0)
     )
-    e_a = orientation_error(orient.a_est, SymTensor3(np.diag([1.0, 0.0, 0.0])))
+    e_a = relative_tensor_error(orient.a_est, SymTensor3(np.diag([1.0, 0.0, 0.0])))
 
     specs = [FiberSpec((1.0, 0.0, 0.0), FIBER_ARRAY_L, FIBER_ARRAY_D)] * 20
     _, _, _, q_ref = fiber_system_tensors(specs)

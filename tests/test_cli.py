@@ -69,6 +69,19 @@ def test_io_errors_exit_2(capsys, tmp_path):
     rc, _, err = _run(capsys, "analyze", "--in", path)
     assert rc == 2
 
+    # continuous f32 payload holding a NaN is a format error
+    nan_path = tmp_path / "nan.raw"
+    grid = VoxelGrid(np.full((4, 4, 4), 0.5), spacing=1.0)
+    store_volume(grid, str(nan_path))
+    payload = np.fromfile(nan_path, dtype="<f4")
+    payload[5] = np.nan
+    payload.tofile(nan_path)
+    for args in (["analyze"], ["fiber-orient", "--second-kernel", "gaussian",
+                               "--second-sigma", 1]):
+        rc, out, err = _run(capsys, *args, "--in", nan_path)
+        assert rc == 2 and out == ""
+        assert err.startswith("minkvox: error:") and err.count("\n") == 1
+
 
 def test_kernel_too_wide_exits_1(capsys, tmp_path):
     path = _gen_ball(capsys, tmp_path)
@@ -331,6 +344,18 @@ def test_fiber_orient_csv_schema(capsys, tmp_path):
     assert cells[11] == ""  # no reference given
     assert cells[12] == "ball"
     assert cells[14] == "gaussian"
+
+
+def test_fiber_orient_non_finite_mask_threshold_exits_1(capsys, tmp_path):
+    # nan > 0 is False, which used to switch the mask off silently
+    path = _gen_laminate(capsys, tmp_path)
+    for value in ("nan", "inf", "-inf"):
+        rc, out, err = _run(capsys, "fiber-orient", "--in", path,
+                            "--second-kernel", "gaussian", "--second-sigma", 2,
+                            f"--mask-threshold={value}")
+        assert rc == 1 and out == ""
+        assert err.startswith("minkvox: error:") and err.count("\n") == 1
+        assert "mask threshold must be finite" in err
 
 
 def test_fiber_orient_second_kernel_none_rejected(capsys, tmp_path):

@@ -8,11 +8,13 @@ from minkvox import (
     SymTensor3,
     VoxelGrid,
     cube_symmetries,
-    orientation_error,
     quantize,
+    relative_tensor_error,
     shift,
     structure_tensor_orientation,
 )
+from minkvox import fiberorient
+from minkvox.fiberorient import CLOSED_FORM_GAP_REL, minor_projector_sum
 
 from gridmakers import axis_triple_fibers, binary_laminate, random_grid
 
@@ -39,7 +41,7 @@ def test_laminate_orientation_is_transverse():
 def test_isotropic_fiber_triple():
     g = axis_triple_fibers(2)
     res = structure_tensor_orientation(g, BallKernel(1.2), GaussianKernel(3.0))
-    err = orientation_error(res.a_est, SymTensor3(np.eye(3) / 3))
+    err = relative_tensor_error(res.a_est, SymTensor3(np.eye(3) / 3))
     assert err <= 0.05, err
 
 
@@ -101,6 +103,11 @@ def test_mask_threshold_modes():
     with pytest.raises(DegenerateImageError):
         structure_tensor_orientation(g, None, GaussianKernel(2.0),
                                      mask_threshold_rel=1.5)
+    # NaN compares false against 0 and would disable the mask silently
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            structure_tensor_orientation(g, None, GaussianKernel(2.0),
+                                         mask_threshold_rel=bad)
 
 
 def test_structureless_image_rejected():
@@ -110,16 +117,123 @@ def test_structureless_image_rejected():
 
 
 def test_orientation_error_examples():
+    # fiber-orient --reference reports this error of the orientation tensor
     est = SymTensor3(np.diag([0.5, 0.5, 0.0]))
     ref = SymTensor3(np.diag([0.49, 0.49, 0.02]))
     expect = np.linalg.norm([0.01, 0.01, -0.02]) / np.linalg.norm(ref.mat)
-    got = orientation_error(est, ref)
+    got = relative_tensor_error(est, ref)
     assert got == pytest.approx(expect, rel=1e-12)
     assert got == pytest.approx(0.0353, abs=5e-4)
-    iso = orientation_error(SymTensor3(np.eye(3) / 3),
-                            SymTensor3(np.diag([1.0, 0.0, 0.0])))
+    iso = relative_tensor_error(SymTensor3(np.eye(3) / 3),
+                                SymTensor3(np.diag([1.0, 0.0, 0.0])))
     assert iso == pytest.approx(np.sqrt(6) / 3, rel=1e-12)
     assert iso == pytest.approx(0.8165, abs=5e-5)
-    assert orientation_error(ref, ref) == 0.0
+    assert relative_tensor_error(ref, ref) == 0.0
     with pytest.raises(ValueError):
-        orientation_error(ref, SymTensor3(np.zeros((3, 3))))
+        relative_tensor_error(ref, SymTensor3(np.zeros((3, 3))))
+
+
+# ---------------------------------------------------------------------------
+# eigen stage: closed form against a batched np.linalg.eigh reference
+
+def _eigh_reference(comps):
+    """Projector sum by a batched eigh with the tie rule, tensor by tensor."""
+    tensors = np.empty((comps.shape[1], 3, 3))
+    for slot, (i, j) in enumerate(((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))):
+        tensors[:, i, j] = tensors[:, j, i] = comps[slot]
+    vals, vecs = np.linalg.eigh(tensors)
+    scale = np.abs(vals[:, 2])
+    tied_low = vals[:, 1] - vals[:, 0] <= 1e-12 * scale
+    tied_all = tied_low & (vals[:, 2] - vals[:, 1] <= 1e-12 * scale)
+    out = np.einsum("ni,nj->nij", vecs[:, :, 0], vecs[:, :, 0])
+    top = vecs[tied_low, :, 2]
+    out[tied_low] = (np.eye(3) - np.einsum("ni,nj->nij", top, top)) / 2
+    out[tied_all] = np.eye(3) / 3
+    return out.sum(axis=0)
+
+
+def _rotated(rng, eigvals):
+    """Components xx, yy, zz, xy, xz, yz of Q diag(eigvals) Q^T, random Q."""
+    q, _ = np.linalg.qr(rng.standard_normal((len(eigvals), 3, 3)))
+    t = np.einsum("nij,nj,nkj->nik", q, eigvals, q)
+    return np.stack([t[:, 0, 0], t[:, 1, 1], t[:, 2, 2],
+                     t[:, 0, 1], t[:, 0, 2], t[:, 1, 2]])
+
+
+def _assert_matches_reference(comps):
+    """Compare with the eigh reference to 1e-12 relative; return the batch
+    sizes of the np.linalg.eigh calls the closed form made."""
+    ref = _eigh_reference(comps)
+    sizes, eigh = [], np.linalg.eigh
+
+    def counted(a):
+        sizes.append(len(a))
+        return eigh(a)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(np.linalg, "eigh", counted)
+        got = minor_projector_sum(comps)
+    assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+    return sizes
+
+
+def test_closed_form_matches_eigh_on_random_tensors():
+    rng = np.random.default_rng(90)
+    n = 3000
+    # separated spectra (gaps of at least 0.01): the closed form takes all
+    spd = np.sort(rng.uniform(0.0, 1.0, (n, 3)), axis=1) + [0.0, 0.01, 0.02]
+    rank2 = spd * [0.0, 1.0, 1.0]
+    rank1 = spd * [0.0, 0.0, 1.0]  # tied bottom pair: eigh and the tie rule
+    for eigvals, eigh_count in ((spd, 0), (rank2, 0), (rank1, n)):
+        comps = _rotated(rng, eigvals)
+        assert sum(_assert_matches_reference(comps)) == eigh_count
+        # scale invariance, down to tensors at FFT round-off level
+        _assert_matches_reference(comps * 1e-17)
+
+
+def test_closed_form_bottom_gap_sweep():
+    rng = np.random.default_rng(91)
+    n = 200
+    for gap in 2.0 * 10.0 ** -np.arange(2, 14):  # 2e-2 ... 2e-13 of lambda_max
+        low = rng.uniform(0.0, 0.5, n)
+        comps = _rotated(rng, np.stack([low, low + gap, np.ones(n)], axis=1))
+        # eigh sees exactly the tensors below the fallback gap, no others
+        sizes = _assert_matches_reference(comps)
+        assert sizes == ([n] if gap < CLOSED_FORM_GAP_REL else []), gap
+        if gap <= 1e-12:
+            # within the tie rule: each tensor shares its weight over the
+            # bottom plane, (I - w w^T) / 2
+            for k in range(5):
+                lam = np.linalg.eigvalsh(minor_projector_sum(comps[:, [k]]))
+                assert np.abs(lam - [0.0, 0.5, 0.5]).max() <= 1e-12
+
+
+def test_closed_form_exact_ties():
+    n, c = 7, 2.5
+    zero = np.zeros((6, n))
+    # diag(0, 0, c): the tied x-y plane shares the weight
+    planar = zero.copy()
+    planar[2] = c
+    expect = n * np.diag([0.5, 0.5, 0.0])
+    assert np.abs(minor_projector_sum(planar) - expect).max() <= 1e-15
+    # c * I and the all-zero tensor (no mask): no preferred direction at all
+    iso = zero.copy()
+    iso[:3] = c
+    for comps in (iso, zero):
+        assert np.abs(minor_projector_sum(comps) - n * np.eye(3) / 3).max() <= 1e-15
+    rng = np.random.default_rng(92)
+    _assert_matches_reference(np.concatenate([planar, iso, zero, _rotated(
+        rng, np.tile([0.0, 0.0, c], (n, 1)))], axis=1))
+
+
+def test_orientation_matches_eigh_pipeline(monkeypatch):
+    # the whole pipeline, background voxels at round-off level included
+    g = axis_triple_fibers(2)
+    for threshold in (fiberorient.DEFAULT_MASK_THRESHOLD_REL, 0.0):
+        got = structure_tensor_orientation(g, None, GaussianKernel(2.0),
+                                           mask_threshold_rel=threshold)
+        with monkeypatch.context() as m:
+            m.setattr(fiberorient, "minor_projector_sum", _eigh_reference)
+            ref = structure_tensor_orientation(g, None, GaussianKernel(2.0),
+                                               mask_threshold_rel=threshold)
+        assert np.abs(got.a_est.mat - ref.a_est.mat).max() <= 1e-12

@@ -162,3 +162,9 @@ def test_out_of_range_payload_rejected(tmp_path):
         "dtype": "f32", "order": "x-fastest"}))
     with pytest.raises(VolumeFormatError, match="invariant"):
         load_volume(f)
+    # NaN is out of range as well, not a later usage error
+    payload = np.full(8, 0.5, dtype="<f4")
+    payload[3] = np.nan
+    payload.tofile(f)
+    with pytest.raises(VolumeFormatError, match="invariant"):
+        load_volume(f)

@@ -39,6 +39,13 @@ def test_grid_invariants_enforced():
         VoxelGrid(np.full((2, 2, 2), 1.5), spacing=1.0, depth=None)
     with pytest.raises(ValueError):
         VoxelGrid(np.full((2, 2, 2), -0.1), spacing=1.0, depth=None)
+    # NaN fails every range comparison, so it needs its own check
+    with pytest.raises(ValueError):
+        VoxelGrid(np.full((2, 2, 2), np.nan), spacing=1.0, depth=None)
+    vals = np.full((2, 2, 2), 0.5)
+    vals[1, 0, 1] = np.nan
+    with pytest.raises(ValueError):
+        VoxelGrid(vals, spacing=1.0, depth=None)
     # 0.5 is not in the p=1 color set {0, 1}
     with pytest.raises(ValueError):
         VoxelGrid(np.full((2, 2, 2), 0.5), spacing=1.0, depth=1)
