@@ -273,13 +273,18 @@ def run_convergence(
     D/h values.  The ball box is ``box_factor * D`` per axis, the cylinder box
     ``(L + D, 2D, 2D)``.  ``displacement`` shifts the body center away from
     the box center, in physical units, so sub-voxel placement effects can be
-    probed.  Rows come back sorted by (D/h, depth, kernel).
+    probed.  Rows come back sorted by (D/h, depth, kernel).  Raises
+    ValueError for a resolution that is not positive and finite, and
+    DegenerateImageError when a sweep point voxelizes to an image without
+    interfaces.
     """
     if shape not in ("ball", "cylinder"):
         raise ValueError(f"shape must be 'ball' or 'cylinder', got {shape!r}")
     disp = np.asarray(displacement, dtype=float)
     rows = []
     for res in resolutions:
+        if not (0 < res < np.inf):
+            raise ValueError(f"resolutions (D/h) must be positive and finite, got {res}")
         h = diameter / res
         if shape == "ball":
             n = int(round(box_factor * res))
@@ -305,6 +310,11 @@ def run_convergence(
                 start = time.perf_counter()
                 summary = analyze(grid, kernel=kernel, scheme=scheme, eps_rel=eps_rel)
                 elapsed = time.perf_counter() - start
+                if summary.degenerate:
+                    raise DegenerateImageError(
+                        f"degenerate image at D/h = {_fmt(float(res))} (depth {p}): "
+                        f"no interfaces, so the QNT is undefined"
+                    )
                 rows.append(
                     ConvergenceRow(
                         d_over_h=float(res),

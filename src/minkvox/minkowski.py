@@ -62,14 +62,6 @@ class SymTensor3:
     def zero(cls) -> "SymTensor3":
         return cls(np.zeros((3, 3)))
 
-    @classmethod
-    def identity(cls) -> "SymTensor3":
-        return cls(np.eye(3))
-
-    @classmethod
-    def diagonal(cls, d) -> "SymTensor3":
-        return cls(np.diag(np.asarray(d, dtype=np.float64)))
-
     def trace(self) -> float:
         return float(np.trace(self.mat))
 

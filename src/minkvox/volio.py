@@ -5,7 +5,7 @@ A volume at ``path`` consists of two files:
 * ``path`` - the raw voxel payload, little-endian, linearized x-fastest
   (index = ix + nx * (iy + ny * iz)),
 * ``path.json`` - a JSON sidecar with the keys ``dims`` (three ints),
-  ``spacing_um`` (float), ``depth`` (int or the string "continuous"),
+  ``spacing_um`` (finite number), ``depth`` (int or the string "continuous"),
   ``dtype`` ("u8", "u16" or "f32") and ``order`` (always "x-fastest").
 
 Integer payloads map linearly onto [0, 1] by value / (2^bits - 1); they are
@@ -17,6 +17,7 @@ load, which restores the exact gray values.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -98,7 +99,7 @@ def load_volume(path) -> VoxelGrid:
         raise VolumeFormatError(f"sidecar has unknown keys {sorted(extra)}")
     if meta["order"] != "x-fastest":
         raise VolumeFormatError(f"unsupported order {meta['order']!r} (key 'order')")
-    if meta["dtype"] not in _DTYPES:
+    if not isinstance(meta["dtype"], str) or meta["dtype"] not in _DTYPES:
         raise VolumeFormatError(f"unknown dtype {meta['dtype']!r} (key 'dtype')")
     dims = meta["dims"]
     if (
@@ -110,11 +111,21 @@ def load_volume(path) -> VoxelGrid:
     depth = meta["depth"]
     if depth == "continuous":
         depth = None
-    elif not isinstance(depth, int) or depth < 1:
+    # bool is a subclass of int, so JSON true would pass as depth 1
+    elif not isinstance(depth, int) or isinstance(depth, bool) or depth < 1:
         raise VolumeFormatError(f"invalid depth {depth!r} (key 'depth')")
+    spacing = meta["spacing_um"]
+    try:
+        # a string or list is a TypeError, an int beyond float range an OverflowError
+        finite = not isinstance(spacing, bool) and math.isfinite(spacing)
+    except (TypeError, OverflowError):
+        finite = False
+    if not finite:
+        raise VolumeFormatError(f"invalid spacing {spacing!r} (key 'spacing_um')")
 
     np_dtype = _DTYPES[meta["dtype"]]
-    expected = int(np.prod(dims)) * np_dtype.itemsize
+    # exact integer product: an int64 one wraps to 0 for dims of 2^40
+    expected = math.prod(dims) * np_dtype.itemsize
     try:
         raw = Path(path).read_bytes()
     except OSError as exc:
@@ -136,6 +147,6 @@ def load_volume(path) -> VoxelGrid:
         m = color_steps(depth)
         arr = np.rint(arr * m) / m
     try:
-        return VoxelGrid(arr, float(meta["spacing_um"]), depth=depth)
+        return VoxelGrid(arr, float(spacing), depth=depth)
     except ValueError as exc:
         raise VolumeFormatError(f"volume {path} violates grid invariants: {exc}") from exc

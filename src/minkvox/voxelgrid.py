@@ -189,11 +189,7 @@ class ShapeUnion:
 
     def contains(self, x, y, z):
         out = np.zeros(np.broadcast(x, y, z).shape, dtype=bool)
-        ranges = [(np.min(c), np.max(c)) for c in (x, y, z)]
         for m in self.members:
-            lo, hi = m.bounds()
-            if any(hi[i] < ranges[i][0] or lo[i] > ranges[i][1] for i in range(3)):
-                continue
             out |= m.contains(x, y, z)
         return out
 
@@ -215,7 +211,10 @@ def voxelize(shape, dims, spacing: float, depth: int = 1) -> VoxelGrid:
         ``[0, dims * spacing]`` are evaluated; shapes are never wrapped
         across the periodic boundary, so keeping the body interior (or
         letting it cover the whole box) is the caller's responsibility.
-        Use :func:`shape_in_box` to validate beforehand.
+        Use :func:`shape_in_box` to validate beforehand.  Each member of a
+        ``ShapeUnion`` (a plain shape is its only member) is evaluated only
+        under its bounding box padded by one voxel, and the members are
+        OR-ed, so they may overlap.
     dims : tuple of int
         Grid dimensions (nx, ny, nz).
     spacing : float
@@ -228,7 +227,9 @@ def voxelize(shape, dims, spacing: float, depth: int = 1) -> VoxelGrid:
 
     Returns
     -------
-    VoxelGrid with ``depth=p``.
+    VoxelGrid with ``depth=p``.  The fine sample block is built in z-chunks
+    of at most 2^24 booleans (or one voxel layer, if larger), which bounds
+    the memory beyond the output.
     """
     dims = tuple(int(n) for n in dims)
     if len(dims) != 3 or min(dims) < 2:
@@ -241,9 +242,16 @@ def voxelize(shape, dims, spacing: float, depth: int = 1) -> VoxelGrid:
     p = depth
     nx, ny, nz = dims
     fine = spacing / p
-    cx = (np.arange(nx * p) + 0.5) * fine
-    cy = (np.arange(ny * p) + 0.5) * fine
-    cz = (np.arange(nz * p) + 0.5) * fine
+    coords = [(np.arange(n * p) + 0.5) * fine for n in dims]
+    boxes = []
+    for member in shape.members if isinstance(shape, ShapeUnion) else (shape,):
+        lo, hi = member.bounds()
+        # voxels under the bounds, padded by one against rounding; fmax and
+        # fmin send infinite and NaN bounds to the whole axis
+        first = np.minimum(np.fmax(np.floor(lo / spacing) - 1, 0), dims).astype(int)
+        last = np.maximum(np.fmin(np.ceil(hi / spacing) + 1, dims), 0).astype(int)
+        if (first < last).all():
+            boxes.append((member, first * p, last * p))
 
     frac = np.empty(dims, dtype=np.float64)
     # chunk along z to bound the size of the fine boolean block
@@ -251,11 +259,15 @@ def voxelize(shape, dims, spacing: float, depth: int = 1) -> VoxelGrid:
     zstep = max(1, max_cells // (nx * p * ny * p * p))
     for z0 in range(0, nz, zstep):
         z1 = min(z0 + zstep, nz)
-        block = shape.contains(
-            cx[:, None, None],
-            cy[None, :, None],
-            cz[None, None, z0 * p : z1 * p],
-        )
+        block = np.zeros((nx * p, ny * p, (z1 - z0) * p), dtype=bool)
+        for member, (x0, y0, f0), (x1, y1, f1) in boxes:
+            f0, f1 = max(f0, z0 * p), min(f1, z1 * p)
+            if f0 < f1:
+                block[x0:x1, y0:y1, f0 - z0 * p : f1 - z0 * p] |= member.contains(
+                    coords[0][x0:x1, None, None],
+                    coords[1][None, y0:y1, None],
+                    coords[2][None, None, f0:f1],
+                )
         frac[:, :, z0:z1] = (
             block.reshape(nx, p, ny, p, z1 - z0, p).mean(axis=(1, 3, 5))
         )

@@ -82,6 +82,16 @@ def test_io_errors_exit_2(capsys, tmp_path):
         assert rc == 2 and out == ""
         assert err.startswith("minkvox: error:") and err.count("\n") == 1
 
+    # sidecar values of the wrong JSON type are format errors, not tracebacks
+    side = tmp_path / "nan.raw.json"
+    meta = json.loads(side.read_text())
+    for key, bad in (("spacing_um", [1]), ("spacing_um", "1"), ("depth", True)):
+        side.write_text(json.dumps(dict(meta, **{key: bad})))
+        rc, out, err = _run(capsys, "analyze", "--in", nan_path)
+        assert rc == 2 and out == "", (key, bad)
+        assert err.startswith("minkvox: error:") and err.count("\n") == 1
+        assert key in err
+
 
 def test_kernel_too_wide_exits_1(capsys, tmp_path):
     path = _gen_ball(capsys, tmp_path)
@@ -292,6 +302,23 @@ def test_convergence_kernel_label_errors(capsys):
         )
         assert rc == 1, label
         assert "kernel label" in err
+
+
+def test_convergence_non_positive_resolution_exits_1(capsys):
+    for res in (0, -2, "nan", "inf"):
+        rc, out, err = _run(capsys, "convergence", "--diameter", 8,
+                            "--resolutions", 4, res)
+        assert rc == 1 and out == "", res
+        assert err.startswith("minkvox: error:") and err.count("\n") == 1
+        assert "resolutions" in err
+
+
+def test_convergence_degenerate_sweep_point_exits_3(capsys):
+    # D/h = 1 gives a 2^3 box whose voxel centers all miss the ball
+    rc, out, err = _run(capsys, "convergence", "--diameter", 8, "--resolutions", 1)
+    assert rc == 3 and out == ""
+    assert err.startswith("minkvox: error:") and err.count("\n") == 1
+    assert "D/h = 1" in err and "degenerate" in err
 
 
 # ---------------------------------------------------------------------------

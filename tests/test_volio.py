@@ -133,13 +133,36 @@ def test_sidecar_key_errors(tmp_path):
     with pytest.raises(VolumeFormatError, match="endian"):
         load_volume(f)
 
-    for key, bad in (("order", "z-fastest"), ("dtype", "i8"),
-                     ("dims", [2, 2]), ("dims", [2, 2, 0]), ("depth", 0)):
+    # JSON booleans are neither depths nor spacings, although bool subclasses int
+    for key, bad in (("order", "z-fastest"), ("dtype", "i8"), ("dtype", ["u8"]),
+                     ("dims", [2, 2]), ("dims", [2, 2, 0]), ("depth", 0),
+                     ("depth", True), ("depth", "2"), ("depth", 2.0),
+                     ("spacing_um", [1]), ("spacing_um", "1"), ("spacing_um", True),
+                     ("spacing_um", None), ("spacing_um", float("inf")),
+                     ("spacing_um", float("nan")), ("spacing_um", 10**400)):
         broken = dict(base)
         broken[key] = bad
         (tmp_path / "k.raw.json").write_text(json.dumps(broken))
         with pytest.raises(VolumeFormatError, match=key):
             load_volume(f)
+
+
+def test_sidecar_integer_values(tmp_path):
+    base = {"dims": [2, 2, 2], "spacing_um": 2, "depth": "continuous",
+            "dtype": "u8", "order": "x-fastest"}
+    # dims whose product wraps to 0 in int64 must not match an empty payload
+    empty = tmp_path / "e.raw"
+    empty.write_bytes(b"")
+    (tmp_path / "e.raw.json").write_text(json.dumps(dict(base, dims=[2**40] * 3)))
+    with pytest.raises(VolumeFormatError, match="0 bytes"):
+        load_volume(empty)
+
+    # a JSON integer is a valid spacing
+    f = tmp_path / "i.raw"
+    f.write_bytes(bytes(8))
+    (tmp_path / "i.raw.json").write_text(json.dumps(base))
+    g = load_volume(f)
+    assert g.spacing == 2.0 and isinstance(g.spacing, float) and g.depth is None
 
 
 def test_missing_files_rejected(tmp_path):

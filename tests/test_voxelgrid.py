@@ -133,6 +133,65 @@ def test_shape_validation():
         ShapeUnion(())
 
 
+def _brute_force_voxelize(shape, dims, spacing, depth):
+    # every sample point of the full fine grid, no chunking, no bounding boxes
+    p = depth
+    fine = spacing / p
+    cx, cy, cz = [(np.arange(n * p) + 0.5) * fine for n in dims]
+    inside = shape.contains(cx[:, None, None], cy[None, :, None], cz[None, None, :])
+    nx, ny, nz = dims
+    frac = inside.reshape(nx, p, ny, p, nz, p).mean(axis=(1, 3, 5))
+    m = color_steps(p)
+    return np.floor(frac * m + 0.5) / m
+
+
+_BITWISE_CASES = {
+    "overlapping-balls": (
+        ShapeUnion((Ball((5.0, 6.0, 6.0), 3.5), Ball((7.5, 6.0, 6.5), 3.0))),
+        (13, 12, 12), 1.0, 3,
+    ),
+    "laminate-and-nested-union": (
+        ShapeUnion((
+            Laminate(axis=1, slabs=((1.2, 3.7), (8.0, 9.1))),
+            ShapeUnion((Ball((4.0, 5.0, 5.0), 2.2),
+                        Cylinder((6.0, 5.5, 5.0), (0.0, 0.6, 0.8), 6.0, 2.0))),
+        )),
+        (11, 11, 10), 1.0, 2,
+    ),
+    "spacing-0.7": (
+        ShapeUnion((Ball((3.1, 3.3, 3.6), 1.9),
+                    Cylinder((4.0, 4.2, 4.1), (0.6, 0.0, 0.8), 4.5, 1.4))),
+        (12, 12, 12), 0.7, 4,
+    ),
+    # the sample points (4.5 +- 2, 4.5, 4.5) etc. lie exactly on the surface
+    "surface-through-samples-depth1": (Ball((4.5, 4.5, 4.5), 2.0), (9, 9, 9), 1.0, 1),
+    "surface-through-samples-depth2": (Ball((4.25, 4.25, 4.25), 1.5), (9, 9, 9), 1.0, 2),
+    "touching-box-faces": (
+        ShapeUnion((Ball((3.0, 5.0, 5.0), 3.0),
+                    Cylinder((5.0, 5.0, 8.0), (0.0, 0.0, 1.0), 4.0, 3.0))),
+        (10, 10, 10), 1.0, 3,
+    ),
+    "outside-the-grid": (
+        ShapeUnion((Ball((30.0, 3.0, 3.0), 2.0), Ball((3.0, 3.0, 3.0), 1.5))),
+        (6, 6, 6), 1.0, 2,
+    ),
+    # 69^3 at depth 4 splits into z-chunks of 55 and 14 layers
+    "several-z-chunks": (
+        ShapeUnion((Ball((34.0, 34.0, 50.0), 12.0), Ball((20.0, 20.0, 62.0), 5.5),
+                    Ball((40.0, 30.0, 20.0), 9.3))),
+        (69, 69, 69), 1.0, 4,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BITWISE_CASES))
+def test_voxelize_bitwise_equals_brute_force(case):
+    shape, dims, spacing, depth = _BITWISE_CASES[case]
+    g = voxelize(shape, dims, spacing, depth)
+    assert np.array_equal(g.values, _brute_force_voxelize(shape, dims, spacing, depth))
+    assert 0.0 < g.mean() < 1.0
+
+
 def test_laminate_voxelization_binary():
     lam = Laminate(axis=2, slabs=((2.0, 5.0),))
     g = voxelize(lam, (4, 4, 8), 1.0, depth=1)
