@@ -62,6 +62,7 @@ from .analytic import (
     fiber_system_tensors,
     steiner_volume,
 )
+from .convergence import ConvergenceRow, run_convergence
 from .fiberorient import (
     OrientationResult,
     structure_tensor_orientation,

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -146,14 +147,7 @@ class SymTensor4:
         """Expand to the full (3, 3, 3, 3) array."""
         full = np.empty((3, 3, 3, 3))
         for comp, (i, j, k, l) in zip(self.components, SYM4_INDEX_ORDER):
-            for perm in {
-                (i, j, k, l), (i, j, l, k), (i, k, j, l), (i, k, l, j),
-                (i, l, j, k), (i, l, k, j), (j, i, k, l), (j, i, l, k),
-                (j, k, i, l), (j, k, l, i), (j, l, i, k), (j, l, k, i),
-                (k, i, j, l), (k, i, l, j), (k, j, i, l), (k, j, l, i),
-                (k, l, i, j), (k, l, j, i), (l, i, j, k), (l, i, k, j),
-                (l, j, i, k), (l, j, k, i), (l, k, i, j), (l, k, j, i),
-            }:
+            for perm in set(itertools.permutations((i, j, k, l))):
                 full[perm] = comp
         return full
 

@@ -7,46 +7,32 @@ Exit codes: 0 success (degenerate-image warnings included), 1 usage error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
-import time
-from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import (
-    FiberSpec,
-    ball_quantities,
-    cylinder_normal_tensor,
-    cylinder_qnt,
-)
-from .errors import (
-    DegenerateImageError,
-    KernelSupportError,
-    NumericalError,
-    VolumeFormatError,
-)
+from . import convergence
+from .errors import DegenerateImageError, NumericalError, VolumeFormatError
 from .filters import BallKernel, GaussianKernel, Kernel
-from .minkowski import (
-    DEFAULT_EPS_REL,
-    MinkowskiSummary,
-    analyze,
-    relative_tensor_error,
-)
-from .fiberorient import (
-    DEFAULT_MASK_THRESHOLD_REL,
-    OrientationResult,
-    structure_tensor_orientation,
-)
-from .minkowski import SymTensor3
+from .minkowski import DEFAULT_EPS_REL, SymTensor3, analyze, relative_tensor_error
+from .fiberorient import DEFAULT_MASK_THRESHOLD_REL, structure_tensor_orientation
+from .gradient import SCHEMES
 from .volio import load_volume, store_volume
 from .voxelgrid import Ball, Cylinder, Laminate, ShapeUnion, shape_in_box, voxelize
 
-__all__ = ["main", "ConvergenceRow", "run_convergence", "make_kernel"]
+__all__ = ["main", "make_kernel"]
 
 
 class _UsageError(Exception):
     pass
+
+
+# the first class an exception is an instance of gives the exit code;
+# KernelSupportError is a ValueError
+_EXIT_CODES = {_UsageError: 1, ValueError: 1, VolumeFormatError: 2, OSError: 2,
+               NumericalError: 3, DegenerateImageError: 3}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -65,36 +51,25 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _tensor_rows(t: SymTensor3 | None):
-    if t is None:
-        return None
-    return [[float(v) for v in row] for row in t.mat]
+# kernel names of the flags and sweep labels; the keys are the argparse choices
+_KERNELS = {"none": None, "ball": BallKernel, "gaussian": GaussianKernel}
 
 
-def make_kernel(name: str, sigma: float) -> Kernel:
-    if name == "none":
-        return None
-    if name == "ball":
-        return BallKernel(sigma)
-    if name == "gaussian":
-        return GaussianKernel(sigma)
-    raise _UsageError(f"unknown kernel {name!r}")
-
-
-def _parse_kernel_label(label: str) -> Kernel:
-    """Parse a sweep kernel label: 'none', 'ball:SIGMA' or 'gaussian:SIGMA'."""
-    if label == "none":
-        return None
-    name, sep, sig = label.partition(":")
-    if not sep or name not in ("ball", "gaussian"):
+def make_kernel(spec: str, sigma: float | None = None) -> Kernel:
+    """Kernel from a name in _KERNELS and its sigma or, without a sigma, from a
+    sweep label: 'none', 'ball:SIGMA' or 'gaussian:SIGMA'."""
+    name, sep, text = spec.partition(":") if sigma is None else (spec, ":", sigma)
+    if spec != "none" and not (sep and _KERNELS.get(name)):
         raise _UsageError(
-            f"invalid kernel label {label!r}, expected none, ball:SIGMA or gaussian:SIGMA"
+            f"invalid kernel label {spec!r}, expected none, ball:SIGMA or gaussian:SIGMA"
         )
+    if spec == "none":
+        return None
     try:
-        sigma = float(sig)
+        sigma = float(text)
     except ValueError:
-        raise _UsageError(f"invalid sigma in kernel label {label!r}") from None
-    return make_kernel(name, sigma)
+        raise _UsageError(f"invalid sigma in kernel label {spec!r}") from None
+    return _KERNELS[name](sigma)
 
 
 def _write_text(text: str, out: str | None) -> None:
@@ -103,6 +78,43 @@ def _write_text(text: str, out: str | None) -> None:
     else:
         with open(out, "w") as fh:
             fh.write(text)
+
+
+# ---------------------------------------------------------------------------
+# reports: a JSON dict holds every value; a CSV column is (name, path into it)
+
+def _tensor(t: SymTensor3 | None):
+    return None if t is None else [[float(v) for v in row] for row in t.mat]
+
+
+def _tensor_columns(prefix: str, key: str):
+    pairs = (("xx", 0, 0), ("yy", 1, 1), ("zz", 2, 2), ("xy", 0, 1), ("xz", 0, 2), ("yz", 1, 2))
+    return [(f"{prefix}_{name}", (key, i, j)) for name, i, j in pairs]
+
+
+def _keys(*names, under=()):
+    return [(name, under + (name,)) for name in names]
+
+
+def _cell(report, path) -> str:
+    """Format the value at ``path``; a missing key or a None on the way is empty."""
+    for key in path:
+        if report is None:
+            break
+        report = report.get(key) if isinstance(key, str) else report[key]
+    return _fmt(report)
+
+
+def _csv(records, columns) -> str:
+    lines = [",".join(name for name, _ in columns)]
+    lines += [",".join(_cell(r, path) for _, path in columns) for r in records]
+    return "\n".join(lines) + "\n"
+
+
+def _render(report: dict, columns, fmt: str) -> str:
+    if fmt == "json":
+        return json.dumps(report, sort_keys=True, indent=2) + "\n"
+    return _csv([report], columns)
 
 
 # ---------------------------------------------------------------------------
@@ -134,7 +146,6 @@ def _shape_from_args(args, box):
             axis, cen = tuple(spec[:3]), tuple(spec[3:])
             members.append(Cylinder(cen, axis, args.length, args.diameter))
         return ShapeUnion(tuple(members))
-    raise _UsageError(f"unknown shape {args.shape!r}")
 
 
 def _cmd_generate(args) -> int:
@@ -145,10 +156,7 @@ def _cmd_generate(args) -> int:
             f"shape does not fit into the box [0, {box[0]}]x[0, {box[1]}]"
             f"x[0, {box[2]}] um; shapes are not wrapped periodically"
         )
-    try:
-        grid = voxelize(shape, tuple(args.dims), args.spacing, depth=args.depth)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from exc
+    grid = voxelize(shape, tuple(args.dims), args.spacing, depth=args.depth)
     dtype = None if args.dtype == "auto" else args.dtype
     store_volume(grid, args.out, dtype=dtype)
     return 0
@@ -157,13 +165,31 @@ def _cmd_generate(args) -> int:
 # ---------------------------------------------------------------------------
 # analyze
 
-def _summary_report(summary: MinkowskiSummary) -> dict:
+_SUMMARY_COLUMNS = (
+    _keys("volume", "surface_area")
+    + _tensor_columns("w", "normal_tensor")
+    + _tensor_columns("qnt", "qnt")
+    + _keys("beta", "degenerate")
+    + _keys("scheme", "kernel", "sigma", "eps_rel", "depth", "spacing_um", under=("config",))
+    + [(name, ("config", "dims", i)) for i, name in enumerate(("nx", "ny", "nz"))]
+)
+
+
+def _cmd_analyze(args) -> int:
+    grid = load_volume(args.infile)
+    kernel = make_kernel(args.kernel, args.sigma)
+    summary = analyze(grid, kernel=kernel, scheme=args.scheme, eps_rel=args.eps_rel)
+    if summary.degenerate:
+        print(
+            "warning: degenerate image (no interfaces); qnt and beta are undefined",
+            file=sys.stderr,
+        )
     qnt_eigs = None if summary.qnt is None else [float(v) for v in summary.qnt.eigenvalues()]
-    return {
+    report = {
         "volume": summary.volume,
         "surface_area": summary.surface_area,
-        "normal_tensor": _tensor_rows(summary.normal_tensor),
-        "qnt": _tensor_rows(summary.qnt),
+        "normal_tensor": _tensor(summary.normal_tensor),
+        "qnt": _tensor(summary.qnt),
         "qnt_eigenvalues": qnt_eigs,
         "beta": summary.beta,
         "degenerate": summary.degenerate,
@@ -177,215 +203,59 @@ def _summary_report(summary: MinkowskiSummary) -> dict:
             "dims": list(summary.dims),
         },
     }
-
-
-_SUMMARY_COLUMNS = (
-    "volume,surface_area,"
-    "w_xx,w_yy,w_zz,w_xy,w_xz,w_yz,"
-    "qnt_xx,qnt_yy,qnt_zz,qnt_xy,qnt_xz,qnt_yz,"
-    "beta,degenerate,scheme,kernel,sigma,eps_rel,depth,spacing_um,nx,ny,nz"
-)
-
-
-def _six(t: SymTensor3 | None):
-    if t is None:
-        return [None] * 6
-    m = t.mat
-    return [m[0, 0], m[1, 1], m[2, 2], m[0, 1], m[0, 2], m[1, 2]]
-
-
-def _summary_csv(summary: MinkowskiSummary) -> str:
-    cells = (
-        [summary.volume, summary.surface_area]
-        + _six(summary.normal_tensor)
-        + _six(summary.qnt)
-        + [
-            summary.beta,
-            summary.degenerate,
-            summary.scheme,
-            summary.kernel,
-            summary.sigma,
-            summary.eps_rel,
-            summary.depth,
-            summary.spacing,
-            summary.dims[0],
-            summary.dims[1],
-            summary.dims[2],
-        ]
-    )
-    return _SUMMARY_COLUMNS + "\n" + ",".join(_fmt(c) for c in cells) + "\n"
-
-
-def _cmd_analyze(args) -> int:
-    grid = load_volume(args.infile)
-    kernel = make_kernel(args.kernel, args.sigma)
-    summary = analyze(grid, kernel=kernel, scheme=args.scheme, eps_rel=args.eps_rel)
-    if summary.degenerate:
-        print(
-            "warning: degenerate image (no interfaces); qnt and beta are undefined",
-            file=sys.stderr,
-        )
-    if args.format == "json":
-        text = json.dumps(_summary_report(summary), sort_keys=True, indent=2) + "\n"
-    else:
-        text = _summary_csv(summary)
-    _write_text(text, args.out)
+    _write_text(_render(report, _SUMMARY_COLUMNS, args.format), args.out)
     return 0
 
 
 # ---------------------------------------------------------------------------
 # convergence
 
-@dataclass(frozen=True)
-class ConvergenceRow:
-    """One sweep entry; *_err are signed relative deviations from the analytic value."""
-
-    d_over_h: float
-    depth: int
-    kernel: str
-    sigma: float | None
-    scheme: str
-    volume: float
-    surface_area: float
-    volume_err: float
-    surface_err: float
-    tensor_err: float
-    qnt_err: float
-    beta: float
-    seconds: float
-
-
-def run_convergence(
-    shape: str,
-    diameter: float,
-    resolutions,
-    depths,
-    kernels,
-    scheme: str = "central",
-    eps_rel: float = DEFAULT_EPS_REL,
-    box_factor: float = 1.5,
-    displacement=(0.0, 0.0, 0.0),
-    aspect: float = 10.0,
-) -> list[ConvergenceRow]:
-    """Voxelize and analyze one body over a resolution/depth/kernel sweep.
-
-    ``shape`` is "ball" or "cylinder" (axis e_x, aspect L/D); resolutions are
-    D/h values.  The ball box is ``box_factor * D`` per axis, the cylinder box
-    ``(L + D, 2D, 2D)``.  ``displacement`` shifts the body center away from
-    the box center, in physical units, so sub-voxel placement effects can be
-    probed.  Rows come back sorted by (D/h, depth, kernel).  Raises
-    ValueError for a resolution that is not positive and finite, and
-    DegenerateImageError when a sweep point voxelizes to an image without
-    interfaces.
-    """
-    if shape not in ("ball", "cylinder"):
-        raise ValueError(f"shape must be 'ball' or 'cylinder', got {shape!r}")
-    disp = np.asarray(displacement, dtype=float)
-    rows = []
-    for res in resolutions:
-        if not (0 < res < np.inf):
-            raise ValueError(f"resolutions (D/h) must be positive and finite, got {res}")
-        h = diameter / res
-        if shape == "ball":
-            n = int(round(box_factor * res))
-            dims = (n, n, n)
-            refs = ball_quantities(diameter / 2)
-            v_ref, s_ref = refs.volume, refs.surface_area
-            w_ref, q_ref = refs.normal_tensor, refs.qnt
-        else:
-            length = aspect * diameter
-            dims = (int(round((aspect + 1) * res)), int(round(2 * res)), int(round(2 * res)))
-            fiber = FiberSpec((1.0, 0.0, 0.0), length, diameter)
-            v_ref = np.pi * (diameter / 2) ** 2 * length
-            s_ref = np.pi * diameter * length + np.pi * diameter**2 / 2
-            w_ref, q_ref = cylinder_normal_tensor(fiber), cylinder_qnt(fiber)
-        center = np.asarray(dims) * h / 2 + disp
-        if shape == "ball":
-            body = Ball(tuple(center), diameter / 2)
-        else:
-            body = Cylinder(tuple(center), (1.0, 0.0, 0.0), length, diameter)
-        for p in depths:
-            grid = voxelize(body, dims, h, depth=p)
-            for kernel in kernels:
-                start = time.perf_counter()
-                summary = analyze(grid, kernel=kernel, scheme=scheme, eps_rel=eps_rel)
-                elapsed = time.perf_counter() - start
-                if summary.degenerate:
-                    raise DegenerateImageError(
-                        f"degenerate image at D/h = {_fmt(float(res))} (depth {p}): "
-                        f"no interfaces, so the QNT is undefined"
-                    )
-                rows.append(
-                    ConvergenceRow(
-                        d_over_h=float(res),
-                        depth=p,
-                        kernel=summary.kernel,
-                        sigma=summary.sigma,
-                        scheme=scheme,
-                        volume=summary.volume,
-                        surface_area=summary.surface_area,
-                        volume_err=(summary.volume - v_ref) / v_ref,
-                        surface_err=(summary.surface_area - s_ref) / s_ref,
-                        tensor_err=relative_tensor_error(summary.normal_tensor, w_ref),
-                        qnt_err=relative_tensor_error(summary.qnt, q_ref),
-                        beta=summary.beta,
-                        seconds=elapsed,
-                    )
-                )
-    rows.sort(key=lambda r: (r.d_over_h, r.depth, r.kernel, r.sigma or 0.0))
-    return rows
-
-
-_SWEEP_COLUMNS = (
-    "d_over_h,depth,kernel,sigma,scheme,volume,surface_area,"
-    "volume_err,surface_err,tensor_err,qnt_err,beta,seconds"
-)
-
-
-def sweep_csv(rows) -> str:
-    lines = [_SWEEP_COLUMNS]
-    for r in rows:
-        lines.append(
-            ",".join(
-                _fmt(c)
-                for c in (
-                    r.d_over_h, r.depth, r.kernel, r.sigma, r.scheme,
-                    r.volume, r.surface_area, r.volume_err, r.surface_err,
-                    r.tensor_err, r.qnt_err, r.beta, r.seconds,
-                )
-            )
-        )
-    return "\n".join(lines) + "\n"
-
-
 def _cmd_convergence(args) -> int:
-    kernels = [_parse_kernel_label(label) for label in args.kernels]
-    try:
-        rows = run_convergence(
-            shape=args.shape,
-            diameter=args.diameter,
-            resolutions=args.resolutions,
-            depths=args.depths,
-            kernels=kernels,
-            scheme=args.scheme,
-            eps_rel=args.eps_rel,
-            box_factor=args.box_factor,
-            displacement=tuple(args.displacement),
-            aspect=args.aspect,
-        )
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from exc
-    _write_text(sweep_csv(rows), args.out)
+    rows = convergence.run_convergence(
+        shape=args.shape,
+        diameter=args.diameter,
+        resolutions=args.resolutions,
+        depths=args.depths,
+        kernels=[make_kernel(label) for label in args.kernels],
+        scheme=args.scheme,
+        eps_rel=args.eps_rel,
+        box_factor=args.box_factor,
+        displacement=tuple(args.displacement),
+        aspect=args.aspect,
+    )
+    columns = _keys(*(f.name for f in dataclasses.fields(convergence.ConvergenceRow)))
+    _write_text(_csv([dataclasses.asdict(r) for r in rows], columns), args.out)
     return 0
 
 
 # ---------------------------------------------------------------------------
 # fiber-orient
 
-def _orientation_report(result: OrientationResult, err: float | None) -> dict:
+_ORIENT_COLUMNS = (
+    _tensor_columns("a", "orientation_tensor")
+    + [(f"eig_{k + 1}", ("eigenvalues", k)) for k in range(3)]
+    + _keys("masked_voxels", "total_voxels", "reference_error")
+    + _keys("first_kernel", "first_sigma", "second_kernel", "second_sigma", "scheme",
+            "mask_threshold_rel", under=("config",))
+)
+
+
+def _cmd_fiber_orient(args) -> int:
+    grid = load_volume(args.infile)
+    ref = None
+    if args.reference is not None:
+        xx, yy, zz, xy, xz, yz = args.reference
+        ref = SymTensor3(np.array([[xx, xy, xz], [xy, yy, yz], [xz, yz, zz]]))
+    result = structure_tensor_orientation(
+        grid,
+        first_kernel=make_kernel(args.first_kernel, args.first_sigma),
+        second_kernel=make_kernel(args.second_kernel, args.second_sigma),
+        scheme=args.scheme,
+        mask_threshold_rel=args.mask_threshold,
+    )
     vals, vecs = result.a_est.eigensystem()
     report = {
-        "orientation_tensor": _tensor_rows(result.a_est),
+        "orientation_tensor": _tensor(result.a_est),
         "eigenvalues": [float(v) for v in vals],
         "eigenvectors": [[float(x) for x in vecs[:, k]] for k in range(3)],
         "masked_voxels": result.masked_voxels,
@@ -399,58 +269,9 @@ def _orientation_report(result: OrientationResult, err: float | None) -> dict:
             "mask_threshold_rel": result.mask_threshold_rel,
         },
     }
-    if err is not None:
-        report["reference_error"] = err
-    return report
-
-
-_ORIENT_COLUMNS = (
-    "a_xx,a_yy,a_zz,a_xy,a_xz,a_yz,eig_1,eig_2,eig_3,masked_voxels,total_voxels,"
-    "reference_error,first_kernel,first_sigma,second_kernel,second_sigma,"
-    "scheme,mask_threshold_rel"
-)
-
-
-def _orientation_csv(result: OrientationResult, err: float | None) -> str:
-    vals = result.a_est.eigenvalues()
-    cells = (
-        _six(result.a_est)
-        + [vals[0], vals[1], vals[2], result.masked_voxels, result.total_voxels, err]
-        + [
-            result.first_kernel,
-            result.first_sigma,
-            result.second_kernel,
-            result.second_sigma,
-            result.scheme,
-            result.mask_threshold_rel,
-        ]
-    )
-    return _ORIENT_COLUMNS + "\n" + ",".join(_fmt(c) for c in cells) + "\n"
-
-
-def _cmd_fiber_orient(args) -> int:
-    grid = load_volume(args.infile)
-    first = make_kernel(args.first_kernel, args.first_sigma)
-    second = make_kernel(args.second_kernel, args.second_sigma)
-    if second is None:
-        raise _UsageError("--second-kernel none is not allowed; the blur is mandatory")
-    result = structure_tensor_orientation(
-        grid,
-        first_kernel=first,
-        second_kernel=second,
-        scheme=args.scheme,
-        mask_threshold_rel=args.mask_threshold,
-    )
-    err = None
-    if args.reference is not None:
-        xx, yy, zz, xy, xz, yz = args.reference
-        ref = SymTensor3(np.array([[xx, xy, xz], [xy, yy, yz], [xz, yz, zz]]))
-        err = relative_tensor_error(result.a_est, ref)
-    if args.format == "json":
-        text = json.dumps(_orientation_report(result, err), sort_keys=True, indent=2) + "\n"
-    else:
-        text = _orientation_csv(result, err)
-    _write_text(text, args.out)
+    if ref is not None:
+        report["reference_error"] = relative_tensor_error(result.a_est, ref)
+    _write_text(_render(report, _ORIENT_COLUMNS, args.format), args.out)
     return 0
 
 
@@ -486,10 +307,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     ana = sub.add_parser("analyze", help="Minkowski functionals and tensors of a volume")
     ana.add_argument("--in", dest="infile", required=True)
-    ana.add_argument("--kernel", choices=("none", "ball", "gaussian"), default="ball")
+    ana.add_argument("--kernel", choices=tuple(_KERNELS), default="ball")
     ana.add_argument("--sigma", type=float, default=1.2)
-    ana.add_argument("--scheme", choices=("central", "forward", "backward"),
-                     default="central")
+    ana.add_argument("--scheme", choices=SCHEMES, default="central")
     ana.add_argument("--eps-rel", type=float, default=DEFAULT_EPS_REL)
     ana.add_argument("--format", choices=("json", "csv"), default="json")
     ana.add_argument("--out", default=None, help="report path, default stdout")
@@ -508,21 +328,19 @@ def build_parser() -> argparse.ArgumentParser:
     conv.add_argument("--depths", type=int, nargs="+", default=[1])
     conv.add_argument("--kernels", nargs="+", default=["none"],
                       help="kernel labels: none, ball:SIGMA, gaussian:SIGMA")
-    conv.add_argument("--scheme", choices=("central", "forward", "backward"),
-                      default="central")
+    conv.add_argument("--scheme", choices=SCHEMES, default="central")
     conv.add_argument("--eps-rel", type=float, default=DEFAULT_EPS_REL)
     conv.add_argument("--out", default=None, help="CSV path, default stdout")
     conv.set_defaults(func=_cmd_convergence)
 
     fib = sub.add_parser("fiber-orient", help="structure-tensor fiber orientation")
     fib.add_argument("--in", dest="infile", required=True)
-    fib.add_argument("--first-kernel", choices=("none", "ball", "gaussian"),
-                     default="ball")
+    fib.add_argument("--first-kernel", choices=tuple(_KERNELS), default="ball")
     fib.add_argument("--first-sigma", type=float, default=1.2)
-    fib.add_argument("--second-kernel", choices=("ball", "gaussian"), default="gaussian")
+    fib.add_argument("--second-kernel", choices=[k for k in _KERNELS if _KERNELS[k]],
+                     default="gaussian")
     fib.add_argument("--second-sigma", type=float, required=True)
-    fib.add_argument("--scheme", choices=("central", "forward", "backward"),
-                     default="central")
+    fib.add_argument("--scheme", choices=SCHEMES, default="central")
     fib.add_argument("--mask-threshold", type=float, default=DEFAULT_MASK_THRESHOLD_REL,
                      help="relative structure-tensor trace cutoff; <= 0 keeps all voxels")
     fib.add_argument("--reference", type=float, nargs=6, default=None,
@@ -540,21 +358,9 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except _UsageError as exc:
+    except tuple(_EXIT_CODES) as exc:
         print(f"minkvox: error: {exc}", file=sys.stderr)
-        return 1
-    except KernelSupportError as exc:
-        print(f"minkvox: error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
-        print(f"minkvox: error: {exc}", file=sys.stderr)
-        return 1
-    except (VolumeFormatError, OSError) as exc:
-        print(f"minkvox: error: {exc}", file=sys.stderr)
-        return 2
-    except (NumericalError, DegenerateImageError) as exc:
-        print(f"minkvox: error: {exc}", file=sys.stderr)
-        return 3
+        return next(code for cls, code in _EXIT_CODES.items() if isinstance(exc, cls))
 
 
 if __name__ == "__main__":

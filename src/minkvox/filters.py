@@ -32,7 +32,9 @@ GAUSSIAN_TRUNCATION_SIGMAS = 3.0
 
 
 @dataclass(frozen=True)
-class GaussianKernel:
+class _SigmaKernel:
+    """Kernel of width h * sigma; instances of different subclasses never compare equal."""
+
     sigma: float
 
     def __post_init__(self):
@@ -40,13 +42,12 @@ class GaussianKernel:
             raise ValueError(f"sigma must be positive, got {self.sigma}")
 
 
-@dataclass(frozen=True)
-class BallKernel:
-    sigma: float
+class GaussianKernel(_SigmaKernel):
+    pass
 
-    def __post_init__(self):
-        if not self.sigma > 0:
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
+
+class BallKernel(_SigmaKernel):
+    pass
 
 
 Kernel = GaussianKernel | BallKernel | None
@@ -88,7 +89,8 @@ def sample_kernel(kernel: Kernel, dims, spacing: float) -> np.ndarray:
 
     Returns the raw kernel values in wrap-around layout, renormalized so that
     ``values.sum() * spacing**3 == 1`` up to round-off.  Raises
-    KernelSupportError if the kernel support does not fit into half the box.
+    KernelSupportError if the kernel support does not fit into half the box,
+    or if (h sigma)^3 or its reciprocal is not a finite nonzero float.
     """
     if kernel is None:
         raise ValueError("cannot sample the identity kernel (None)")
@@ -100,8 +102,18 @@ def sample_kernel(kernel: Kernel, dims, spacing: float) -> np.ndarray:
             f"kernel support radius {radius} does not fit into half the box "
             f"{min(dims) * h / 2}"
         )
-    r2 = _squared_offsets(dims) * (h * h)
     hs = h * kernel.sigma
+    try:
+        # a float power raises OverflowError where a product would give inf
+        in_range = 0 < hs**3 < np.inf and 1 / hs**3 < np.inf
+    except OverflowError:
+        in_range = False
+    if not in_range:
+        raise KernelSupportError(
+            f"kernel width h*sigma = {hs} is out of range: (h*sigma)^3 and its "
+            f"reciprocal must be finite and nonzero"
+        )
+    r2 = _squared_offsets(dims) * (h * h)
     if isinstance(kernel, GaussianKernel):
         vals = np.exp(-r2 / (2 * hs * hs)) / (hs**3 * (2 * np.pi) ** 1.5)
         vals[r2 > radius * radius] = 0.0

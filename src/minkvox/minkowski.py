@@ -51,6 +51,9 @@ class SymTensor3:
         mat = np.asarray(self.mat, dtype=np.float64)
         if mat.shape != (3, 3):
             raise ValueError(f"expected a 3x3 matrix, got shape {mat.shape}")
+        # NaN fails the symmetry comparison below, so it would pass unchecked
+        if not np.isfinite(mat).all():
+            raise ValueError("tensor entries must be finite")
         scale = max(float(np.abs(mat).max()), 1.0)
         if np.abs(mat - mat.T).max() > 1e-8 * scale:
             raise ValueError("matrix is not symmetric")
@@ -117,8 +120,8 @@ def estimate_normal_tensor(field: VectorField, eps_rel: float = DEFAULT_EPS_REL)
     magnitude; voxels with exactly zero gradient are skipped, so an image
     without interfaces yields the zero tensor.
     """
-    if eps_rel < 0:
-        raise ValueError(f"eps_rel must be non-negative, got {eps_rel}")
+    if not 0 <= eps_rel < np.inf:
+        raise ValueError(f"eps_rel must be non-negative and finite, got {eps_rel}")
     norms = field.norms()
     gmax = float(norms.max())
     if gmax == 0.0:

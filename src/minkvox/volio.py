@@ -5,8 +5,9 @@ A volume at ``path`` consists of two files:
 * ``path`` - the raw voxel payload, little-endian, linearized x-fastest
   (index = ix + nx * (iy + ny * iz)),
 * ``path.json`` - a JSON sidecar with the keys ``dims`` (three ints),
-  ``spacing_um`` (finite number), ``depth`` (int or the string "continuous"),
-  ``dtype`` ("u8", "u16" or "f32") and ``order`` (always "x-fastest").
+  ``spacing_um`` (a number in ``SPACING_RANGE_UM``, 1e-20 to 1e20),
+  ``depth`` (int or the string "continuous"), ``dtype`` ("u8", "u16" or
+  "f32") and ``order`` (always "x-fastest").
 
 Integer payloads map linearly onto [0, 1] by value / (2^bits - 1); they are
 bit-exact under store/load round trips.  f32 payloads are rounded to single
@@ -23,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import VolumeFormatError
-from .voxelgrid import VoxelGrid, color_steps
+from .voxelgrid import SPACING_RANGE_UM, VoxelGrid, color_steps
 
 __all__ = ["load_volume", "store_volume"]
 
@@ -115,12 +116,13 @@ def load_volume(path) -> VoxelGrid:
     elif not isinstance(depth, int) or isinstance(depth, bool) or depth < 1:
         raise VolumeFormatError(f"invalid depth {depth!r} (key 'depth')")
     spacing = meta["spacing_um"]
+    lo, hi = SPACING_RANGE_UM
     try:
-        # a string or list is a TypeError, an int beyond float range an OverflowError
-        finite = not isinstance(spacing, bool) and math.isfinite(spacing)
-    except (TypeError, OverflowError):
-        finite = False
-    if not finite:
+        # a string, list or None is a TypeError; ints compare exactly, NaN never
+        valid = not isinstance(spacing, bool) and lo <= spacing <= hi
+    except TypeError:
+        valid = False
+    if not valid:
         raise VolumeFormatError(f"invalid spacing {spacing!r} (key 'spacing_um')")
 
     np_dtype = _DTYPES[meta["dtype"]]

@@ -20,7 +20,18 @@ __all__ = [
     "quantize",
     "shift",
     "cube_symmetries",
+    "SPACING_RANGE_UM",
 ]
+
+# voxel edge lengths (um) for which h^3, h^-3 and the estimator sums stay far
+# from float overflow and underflow
+SPACING_RANGE_UM = (1e-20, 1e20)
+
+
+def _check_spacing(spacing: float) -> None:
+    lo, hi = SPACING_RANGE_UM
+    if not lo <= spacing <= hi:
+        raise ValueError(f"spacing must lie in [{lo:g}, {hi:g}] um, got {spacing}")
 
 
 def color_steps(depth: int) -> int:
@@ -62,8 +73,7 @@ class VoxelGrid:
             raise ValueError(f"expected a 3D value array, got ndim={vals.ndim}")
         if min(vals.shape) < 2:
             raise ValueError(f"grid dims must all be >= 2, got {vals.shape}")
-        if not self.spacing > 0:
-            raise ValueError(f"spacing must be positive, got {self.spacing}")
+        _check_spacing(self.spacing)
         # negated so that NaN, which fails every comparison, is rejected too
         if not (vals.min() >= 0.0 and vals.max() <= 1.0):
             raise ValueError(
@@ -102,8 +112,8 @@ class Ball:
     radius: float
 
     def __post_init__(self):
-        if not self.radius > 0:
-            raise ValueError(f"radius must be positive, got {self.radius}")
+        if not 0 < self.radius < np.inf:
+            raise ValueError(f"radius must be positive and finite, got {self.radius}")
 
     def contains(self, x, y, z):
         cx, cy, cz = self.center
@@ -126,8 +136,9 @@ class Cylinder:
     diameter: float
 
     def __post_init__(self):
-        if not (self.length > 0 and self.diameter > 0):
-            raise ValueError("cylinder length and diameter must be positive")
+        # infinite extents make NaN bounds (inf * 0, inf - inf)
+        if not (0 < self.length < np.inf and 0 < self.diameter < np.inf):
+            raise ValueError("cylinder length and diameter must be positive and finite")
         n = float(np.linalg.norm(self.axis))
         if abs(n - 1.0) > 1e-12:
             raise ValueError(f"cylinder axis must be a unit vector, |axis| = {n}")
@@ -218,7 +229,7 @@ def voxelize(shape, dims, spacing: float, depth: int = 1) -> VoxelGrid:
     dims : tuple of int
         Grid dimensions (nx, ny, nz).
     spacing : float
-        Voxel edge length h.
+        Voxel edge length h, within ``SPACING_RANGE_UM``.
     depth : int
         Gray-value depth p.  For p = 1 a voxel is solid iff its center lies
         inside the shape (boundary counts as inside).  For p > 1 the solid
@@ -234,8 +245,7 @@ def voxelize(shape, dims, spacing: float, depth: int = 1) -> VoxelGrid:
     dims = tuple(int(n) for n in dims)
     if len(dims) != 3 or min(dims) < 2:
         raise ValueError(f"dims must be three integers >= 2, got {dims}")
-    if not spacing > 0:
-        raise ValueError(f"spacing must be positive, got {spacing}")
+    _check_spacing(spacing)
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
 

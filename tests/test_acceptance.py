@@ -32,10 +32,10 @@ from minkvox import (
     fft_convolve,
     fiber_system_tensors,
     relative_tensor_error,
+    run_convergence,
     steiner_volume,
     structure_tensor_orientation,
 )
-from minkvox.cli import run_convergence
 from minkvox.voxelgrid import Ball, VoxelGrid, shift, voxelize
 
 

@@ -4,12 +4,14 @@ All tests drive minkvox.cli.main() in process; the console script is the same
 function behind a sys.exit wrapper.
 """
 
+import dataclasses
 import json
+import warnings
 
 import numpy as np
 import pytest
 
-from minkvox import VoxelGrid, analyze, load_volume, store_volume
+from minkvox import ConvergenceRow, VoxelGrid, analyze, load_volume, store_volume
 from minkvox.cli import main
 from minkvox.filters import BallKernel
 
@@ -393,3 +395,139 @@ def test_fiber_orient_second_kernel_none_rejected(capsys, tmp_path):
     )
     assert rc == 1
     assert "invalid choice" in err
+
+
+# ---------------------------------------------------------------------------
+# CSV and JSON reports agree
+
+_TENSOR_KEYS = {"w": "normal_tensor", "qnt": "qnt", "a": "orientation_tensor"}
+_COMPONENTS = {"xx": (0, 0), "yy": (1, 1), "zz": (2, 2),
+               "xy": (0, 1), "xz": (0, 2), "yz": (1, 2)}
+
+
+def _json_value(report, column):
+    """The JSON report value that a CSV column stands for."""
+    prefix, _, comp = column.rpartition("_")
+    if prefix in _TENSOR_KEYS and comp in _COMPONENTS:
+        rows = report[_TENSOR_KEYS[prefix]]
+        i, j = _COMPONENTS[comp]
+        return None if rows is None else rows[i][j]
+    if column in ("nx", "ny", "nz"):
+        return report["config"]["dims"]["xyz".index(column[1])]
+    if column.startswith("eig_"):
+        return report["eigenvalues"][int(column[4:]) - 1]
+    if column in report:
+        return report[column]
+    return report["config"].get(column)
+
+
+def _assert_csv_matches_json(capsys, args):
+    rc, out, _ = _run(capsys, *args, "--format", "json")
+    assert rc == 0
+    report = json.loads(out)
+    rc, out, _ = _run(capsys, *args, "--format", "csv")
+    assert rc == 0
+    header, row = out.splitlines()
+    columns, cells = header.split(","), row.split(",")
+    assert len(columns) == len(cells)
+    for column, cell in zip(columns, cells):
+        value = _json_value(report, column)
+        if value is None:
+            assert cell == "", column
+        elif isinstance(value, bool):
+            assert cell == ("true" if value else "false"), column
+        elif isinstance(value, float):
+            assert float(cell) == value, column
+        else:
+            assert cell == str(value), column
+
+
+def test_csv_cells_match_json_report(capsys, tmp_path):
+    ball = _gen_ball(capsys, tmp_path)
+    _assert_csv_matches_json(capsys, ("analyze", "--in", ball, "--kernel", "ball"))
+
+    empty = tmp_path / "empty.raw"
+    store_volume(VoxelGrid(np.zeros((8, 8, 8)), spacing=1.0, depth=1), str(empty))
+    _assert_csv_matches_json(capsys, ("analyze", "--in", empty, "--kernel", "none"))
+
+    lam = _gen_laminate(capsys, tmp_path)
+    orient = ("fiber-orient", "--in", lam, "--second-kernel", "gaussian", "--second-sigma", 2)
+    _assert_csv_matches_json(capsys, orient)
+    _assert_csv_matches_json(capsys, orient + ("--reference", 0.5, 0.5, 0, 0, 0, 0))
+
+    rc, out, _ = _run(capsys, "convergence", "--diameter", 8, "--resolutions", 4)
+    assert rc == 0
+    assert out.splitlines()[0].split(",") == [
+        f.name for f in dataclasses.fields(ConvergenceRow)]
+
+
+# ---------------------------------------------------------------------------
+# extreme scales and non-finite values
+
+def _assert_one_error_line(rc, out, err, code):
+    assert rc == code and out == ""
+    assert err.startswith("minkvox: error:") and err.count("\n") == 1
+
+
+def test_spacing_outside_range_exits_2(capsys, tmp_path):
+    path = _gen_ball(capsys, tmp_path)
+    side = tmp_path / "ball.raw.json"
+    meta = json.loads(side.read_text())
+    commands = [("analyze", "--kernel", k) for k in ("none", "ball", "gaussian")]
+    commands.append(("fiber-orient", "--second-kernel", "gaussian", "--second-sigma", 2))
+    for spacing in (1e110, 1e-110, 1e80, 1e-21, 2e20):
+        side.write_text(json.dumps(dict(meta, spacing_um=spacing)))
+        for args in commands:
+            rc, out, err = _run(capsys, *args, "--in", path)
+            _assert_one_error_line(rc, out, err, 2)
+            assert "spacing_um" in err, (spacing, args)
+
+    # at both ends of the range every value scales exactly with h
+    side.write_text(json.dumps(dict(meta, spacing_um=1.0)))
+    rc, out, _ = _run(capsys, "analyze", "--in", path)
+    unit = json.loads(out)
+    for spacing in (1e-20, 1e20):
+        side.write_text(json.dumps(dict(meta, spacing_um=spacing)))
+        rc, out, err = _run(capsys, "analyze", "--in", path)
+        assert rc == 0, err
+        report = json.loads(out)
+        assert report["volume"] / spacing**3 == pytest.approx(unit["volume"], rel=1e-14)
+        assert report["surface_area"] / spacing**2 == pytest.approx(unit["surface_area"],
+                                                                    rel=1e-14)
+        assert np.allclose(report["qnt"], unit["qnt"], rtol=0, atol=1e-14)
+
+
+def test_generate_spacing_outside_range_exits_1(capsys, tmp_path):
+    out_path = tmp_path / "lam.raw"
+    for spacing in ("inf", "1e110", "1e-110", "1e21"):
+        rc, out, err = _run(capsys, "generate", "--shape", "laminate", "--dims", 8, 8, 8,
+                            "--slab", 1, 3, "--spacing", spacing, "--out", out_path)
+        _assert_one_error_line(rc, out, err, 1)
+        assert not out_path.exists()
+
+
+def test_narrow_kernel_exits_1(capsys, tmp_path):
+    path = _gen_ball(capsys, tmp_path)
+    for kernel, sigma in (("ball", "1e-110"), ("gaussian", "1e-160"), ("gaussian", "1e-110")):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc, out, err = _run(capsys, "analyze", "--in", path,
+                                "--kernel", kernel, "--sigma", sigma)
+        _assert_one_error_line(rc, out, err, 1)
+        assert "h*sigma" in err
+
+
+def test_non_finite_reference_and_eps_rel_exit_1(capsys, tmp_path):
+    lam = _gen_laminate(capsys, tmp_path)
+    for value in ("nan", "inf"):
+        rc, out, err = _run(capsys, "fiber-orient", "--in", lam, "--second-kernel",
+                            "gaussian", "--second-sigma", 2, "--reference", 0.5, 0.5,
+                            value, 0, 0, 0)
+        _assert_one_error_line(rc, out, err, 1)
+        assert "finite" in err
+
+    ball = _gen_ball(capsys, tmp_path)
+    for value in ("nan", "inf"):
+        rc, out, err = _run(capsys, "analyze", "--in", ball, f"--eps-rel={value}")
+        _assert_one_error_line(rc, out, err, 1)
+        assert "eps_rel" in err

@@ -131,6 +131,10 @@ def test_orientation_error_examples():
     assert relative_tensor_error(ref, ref) == 0.0
     with pytest.raises(ValueError):
         relative_tensor_error(ref, SymTensor3(np.zeros((3, 3))))
+    # a non-finite reference (fiber-orient --reference nan ...) is no tensor
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            SymTensor3(np.diag([bad, 0.5, 0.5]))
 
 
 # ---------------------------------------------------------------------------

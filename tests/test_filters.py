@@ -69,6 +69,19 @@ def test_sample_kernel_support_errors():
     sample_kernel(BallKernel(3.9), (8, 32, 32), 1.0)
 
 
+def test_sample_kernel_width_out_of_float_range(recwarn):
+    # (h sigma)^3 underflows to zero or to a subnormal whose reciprocal is inf
+    for kern, h in ((BallKernel(1e-110), 1.0), (GaussianKernel(1e-160), 1.0),
+                    (GaussianKernel(1e-90), 1e-20), (BallKernel(1e-103), 1.0)):
+        with pytest.raises(KernelSupportError, match="h\\*sigma"):
+            sample_kernel(kern, (8, 8, 8), h)
+    assert not recwarn.list
+    # narrow but in range: the ball degenerates to the identity, unchanged
+    for sigma in (1e-30, 1e-100):
+        vals = sample_kernel(BallKernel(sigma), (8, 8, 8), 1.0)
+        assert vals[0, 0, 0] == 1.0 and np.count_nonzero(vals) == 1
+
+
 def test_sampled_kernels_invariant_under_cube_group():
     # origin-centered action: transpose axes, then reverse indices about the
     # periodic origin (i -> -i mod n); sampled kernels must be bitwise fixed

@@ -53,6 +53,23 @@ def test_tensor_construction_and_symmetry():
     assert t.mat[0, 1] == t.mat[1, 0]
 
 
+def test_tensor_rejects_non_finite_entries():
+    for bad in (np.nan, np.inf, -np.inf):
+        m = np.eye(3)
+        m[0, 1] = m[1, 0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            SymTensor3(m)
+        with pytest.raises(ValueError, match="finite"):
+            SymTensor3(np.diag([bad, 1.0, 1.0]))
+
+
+def test_normal_tensor_eps_rel_must_be_finite():
+    field = gradient(single_voxel(), "central")
+    for bad in (np.nan, np.inf, -1.0):
+        with pytest.raises(ValueError, match="eps_rel"):
+            estimate_normal_tensor(field, bad)
+
+
 def test_tensor_eigensystem_deterministic():
     rng = np.random.default_rng(50)
     for _ in range(30):

@@ -4,11 +4,14 @@ import numpy as np
 import pytest
 
 from minkvox import (
+    Ball,
     VolumeFormatError,
     VoxelGrid,
     load_volume,
     store_volume,
+    voxelize,
 )
+from minkvox.voxelgrid import SPACING_RANGE_UM
 
 from gridmakers import displaced_ball, random_grid
 
@@ -139,7 +142,10 @@ def test_sidecar_key_errors(tmp_path):
                      ("depth", True), ("depth", "2"), ("depth", 2.0),
                      ("spacing_um", [1]), ("spacing_um", "1"), ("spacing_um", True),
                      ("spacing_um", None), ("spacing_um", float("inf")),
-                     ("spacing_um", float("nan")), ("spacing_um", 10**400)):
+                     ("spacing_um", float("nan")), ("spacing_um", 10**400),
+                     ("spacing_um", 1e110), ("spacing_um", 1e-110), ("spacing_um", 1e80),
+                     ("spacing_um", 2e20), ("spacing_um", 1e-21), ("spacing_um", 0),
+                     ("spacing_um", -1.0)):
         broken = dict(base)
         broken[key] = bad
         (tmp_path / "k.raw.json").write_text(json.dumps(broken))
@@ -163,6 +169,23 @@ def test_sidecar_integer_values(tmp_path):
     (tmp_path / "i.raw.json").write_text(json.dumps(base))
     g = load_volume(f)
     assert g.spacing == 2.0 and isinstance(g.spacing, float) and g.depth is None
+
+
+def test_spacing_range_ends(tmp_path):
+    lo, hi = SPACING_RANGE_UM
+    assert lo <= 1e-20 and hi >= 1e20
+    f = tmp_path / "s.raw"
+    f.write_bytes(bytes(8))
+    for spacing in (lo, hi):
+        (tmp_path / "s.raw.json").write_text(json.dumps({
+            "dims": [2, 2, 2], "spacing_um": spacing, "depth": 1,
+            "dtype": "u8", "order": "x-fastest"}))
+        assert load_volume(f).spacing == spacing
+    for spacing in (lo / 2, hi * 2, float("inf"), 0.0):
+        with pytest.raises(ValueError, match="spacing"):
+            VoxelGrid(np.zeros((2, 2, 2)), spacing)
+        with pytest.raises(ValueError, match="spacing"):
+            voxelize(Ball((1.0, 1.0, 1.0), 0.5), (2, 2, 2), spacing)
 
 
 def test_missing_files_rejected(tmp_path):
