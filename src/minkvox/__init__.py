@@ -1,13 +1,6 @@
 """Minkowski functionals, quadratic normal tensors and fiber orientation
 of gray-value voxel images."""
 
-import os as _os
-
-# honor the thread-count override before numpy loads its BLAS/FFT backends
-if "MINKVOX_THREADS" in _os.environ:
-    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        _os.environ.setdefault(_var, _os.environ["MINKVOX_THREADS"])
-
 from .errors import (
     DegenerateImageError,
     KernelSupportError,

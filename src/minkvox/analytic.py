@@ -8,6 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .minkowski import SymTensor3, unit_trace
+from .voxelgrid import check_cylinder
 
 __all__ = [
     "BallQuantities",
@@ -76,11 +77,7 @@ class FiberSpec:
     diameter: float
 
     def __post_init__(self):
-        if not (self.length > 0 and self.diameter > 0):
-            raise ValueError("fiber length and diameter must be positive")
-        n = float(np.linalg.norm(self.axis))
-        if abs(n - 1.0) > 1e-12:
-            raise ValueError(f"fiber axis must be a unit vector, |axis| = {n}")
+        check_cylinder("fiber", self.axis, self.length, self.diameter)
 
     def aspect(self) -> float:
         return self.length / self.diameter

@@ -52,7 +52,7 @@ def _fmt(x) -> str:
 
 
 # kernel names of the flags and sweep labels; the keys are the argparse choices
-_KERNELS = {"none": None, "ball": BallKernel, "gaussian": GaussianKernel}
+_KERNELS = {"none": None, **{k.name: k for k in (BallKernel, GaussianKernel)}}
 
 
 def make_kernel(spec: str, sigma: float | None = None) -> Kernel:
@@ -194,13 +194,13 @@ def _cmd_analyze(args) -> int:
         "beta": summary.beta,
         "degenerate": summary.degenerate,
         "config": {
-            "scheme": summary.scheme,
-            "kernel": summary.kernel,
-            "sigma": summary.sigma,
-            "eps_rel": summary.eps_rel,
-            "depth": summary.depth,
-            "spacing_um": summary.spacing,
-            "dims": list(summary.dims),
+            "scheme": args.scheme,
+            "kernel": args.kernel,
+            "sigma": None if kernel is None else kernel.sigma,
+            "eps_rel": args.eps_rel,
+            "depth": grid.depth,
+            "spacing_um": grid.spacing,
+            "dims": list(grid.dims),
         },
     }
     _write_text(_render(report, _SUMMARY_COLUMNS, args.format), args.out)
@@ -246,13 +246,10 @@ def _cmd_fiber_orient(args) -> int:
     if args.reference is not None:
         xx, yy, zz, xy, xz, yz = args.reference
         ref = SymTensor3(np.array([[xx, xy, xz], [xy, yy, yz], [xz, yz, zz]]))
-    result = structure_tensor_orientation(
-        grid,
-        first_kernel=make_kernel(args.first_kernel, args.first_sigma),
-        second_kernel=make_kernel(args.second_kernel, args.second_sigma),
-        scheme=args.scheme,
-        mask_threshold_rel=args.mask_threshold,
-    )
+    first = make_kernel(args.first_kernel, args.first_sigma)
+    second = make_kernel(args.second_kernel, args.second_sigma)
+    result = structure_tensor_orientation(grid, first, second, scheme=args.scheme,
+                                          mask_threshold_rel=args.mask_threshold)
     vals, vecs = result.a_est.eigensystem()
     report = {
         "orientation_tensor": _tensor(result.a_est),
@@ -261,12 +258,12 @@ def _cmd_fiber_orient(args) -> int:
         "masked_voxels": result.masked_voxels,
         "total_voxels": result.total_voxels,
         "config": {
-            "first_kernel": result.first_kernel,
-            "first_sigma": result.first_sigma,
-            "second_kernel": result.second_kernel,
-            "second_sigma": result.second_sigma,
-            "scheme": result.scheme,
-            "mask_threshold_rel": result.mask_threshold_rel,
+            "first_kernel": args.first_kernel,
+            "first_sigma": None if first is None else first.sigma,
+            "second_kernel": args.second_kernel,
+            "second_sigma": second.sigma,
+            "scheme": args.scheme,
+            "mask_threshold_rel": args.mask_threshold,
         },
     }
     if ref is not None:

@@ -10,6 +10,7 @@ import numpy as np
 
 from .analytic import FiberSpec, ball_quantities, cylinder_normal_tensor, cylinder_qnt
 from .errors import DegenerateImageError
+from .filters import kernel_name
 from .minkowski import DEFAULT_EPS_REL, analyze, relative_tensor_error
 from .voxelgrid import SPACING_RANGE_UM, Ball, Cylinder, voxelize
 
@@ -102,8 +103,8 @@ def run_convergence(
                     ConvergenceRow(
                         d_over_h=float(res),
                         depth=p,
-                        kernel=summary.kernel,
-                        sigma=summary.sigma,
+                        kernel=kernel_name(kernel),
+                        sigma=None if kernel is None else kernel.sigma,
                         scheme=scheme,
                         volume=summary.volume,
                         surface_area=summary.surface_area,

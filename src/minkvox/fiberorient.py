@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateImageError
-from .filters import Kernel, fft_convolve, kernel_name, kernel_transfer, apply_transfer
+from .filters import Kernel, fft_convolve, kernel_transfer, apply_transfer
 from .gradient import gradient
 from .minkowski import SymTensor3, unit_trace
 from .voxelgrid import VoxelGrid
@@ -50,17 +50,11 @@ _PAIRS = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
 
 @dataclass(frozen=True)
 class OrientationResult:
-    """Estimated orientation tensor plus the configuration that produced it."""
+    """Estimated orientation tensor and the count of voxels that entered it."""
 
     a_est: SymTensor3
     masked_voxels: int
     total_voxels: int
-    first_kernel: str
-    first_sigma: float | None
-    second_kernel: str
-    second_sigma: float
-    scheme: str
-    mask_threshold_rel: float
 
 
 def structure_tensor_orientation(
@@ -124,17 +118,8 @@ def structure_tensor_orientation(
     for lo in range(0, keep.size, _CHUNK):
         a_mat += minor_projector_sum(flat[:, lo:lo + _CHUNK][:, keep[lo:lo + _CHUNK]])
     a_mat = (a_mat + a_mat.T) / 2
-    return OrientationResult(
-        a_est=SymTensor3(unit_trace(a_mat)),
-        masked_voxels=count,
-        total_voxels=int(np.prod(image.dims)),
-        first_kernel=kernel_name(first_kernel),
-        first_sigma=None if first_kernel is None else first_kernel.sigma,
-        second_kernel=kernel_name(second_kernel),
-        second_sigma=second_kernel.sigma,
-        scheme=scheme,
-        mask_threshold_rel=mask_threshold_rel,
-    )
+    return OrientationResult(a_est=SymTensor3(unit_trace(a_mat)), masked_voxels=count,
+                             total_voxels=int(np.prod(image.dims)))
 
 
 def minor_projector_sum(comps: np.ndarray) -> np.ndarray:
@@ -147,6 +132,10 @@ def minor_projector_sum(comps: np.ndarray) -> np.ndarray:
     tensor contributes the normalized projector onto the tied eigenspace
     instead, (I - w w^T) / 2 for a two-fold and I / 3 for a three-fold tie.
     """
+    # C order, as masked chunks arrive F-ordered; an exact power-of-two scale to a
+    # largest entry in [1/2, 1) keeps the degree-4 and -5 terms below normal floats
+    comps = np.ascontiguousarray(comps)
+    comps = np.ldexp(comps, -np.frexp(np.abs(comps).max(axis=0))[1])
     a, b, c, d, e, f = comps
     q = (a + b + c) / 3
     da, db, dc = a - q, b - q, c - q

@@ -10,6 +10,7 @@ is exactly one, which makes the convolution mean-preserving.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -36,6 +37,8 @@ class _SigmaKernel:
     """Kernel of width h * sigma; instances of different subclasses never compare equal."""
 
     sigma: float
+    name: ClassVar[str]  # the label of reports, flags and sweeps
+    reach: ClassVar[float]  # support radius over sigma
 
     def __post_init__(self):
         if not self.sigma > 0:
@@ -43,29 +46,25 @@ class _SigmaKernel:
 
 
 class GaussianKernel(_SigmaKernel):
-    pass
+    name = "gaussian"
+    reach = GAUSSIAN_TRUNCATION_SIGMAS
 
 
 class BallKernel(_SigmaKernel):
-    pass
+    name = "ball"
+    reach = 1.0
 
 
 Kernel = GaussianKernel | BallKernel | None
 
 
 def kernel_name(kernel: Kernel) -> str:
-    if kernel is None:
-        return "none"
-    return "gaussian" if isinstance(kernel, GaussianKernel) else "ball"
+    return "none" if kernel is None else kernel.name
 
 
 def support_radius(kernel: Kernel, spacing: float) -> float:
     """Physical radius beyond which the sampled kernel is identically zero."""
-    if kernel is None:
-        return 0.0
-    if isinstance(kernel, GaussianKernel):
-        return GAUSSIAN_TRUNCATION_SIGMAS * spacing * kernel.sigma
-    return spacing * kernel.sigma
+    return 0.0 if kernel is None else kernel.reach * spacing * kernel.sigma
 
 
 def _squared_offsets(dims) -> np.ndarray:
@@ -88,19 +87,22 @@ def sample_kernel(kernel: Kernel, dims, spacing: float) -> np.ndarray:
     """Sample a kernel at the voxel centers of a periodic grid.
 
     Returns the raw kernel values in wrap-around layout, renormalized so that
-    ``values.sum() * spacing**3 == 1`` up to round-off.  Raises
-    KernelSupportError if the kernel support does not fit into half the box,
-    or if (h sigma)^3 or its reciprocal is not a finite nonzero float.
+    ``values.sum() * spacing**3 == 1`` up to round-off.  A voxel center is
+    in the support when its integer squared offset from the origin, in
+    voxels, is at most ``(kernel.reach * kernel.sigma)**2``, so the same
+    points are kept at every h.  Raises KernelSupportError if that radius,
+    in voxels, is not below half the shortest edge, or if (h sigma)^3 or its
+    reciprocal is not a finite nonzero float.
     """
     if kernel is None:
         raise ValueError("cannot sample the identity kernel (None)")
     dims = tuple(int(n) for n in dims)
     h = spacing
-    radius = support_radius(kernel, h)
-    if not radius < min(dims) * h / 2:
+    reach = kernel.reach * kernel.sigma  # support radius in voxels
+    if not reach < min(dims) / 2:
         raise KernelSupportError(
-            f"kernel support radius {radius} does not fit into half the box "
-            f"{min(dims) * h / 2}"
+            f"kernel support radius {support_radius(kernel, h)} does not fit into "
+            f"half the box {min(dims) * h / 2}"
         )
     hs = h * kernel.sigma
     try:
@@ -113,12 +115,12 @@ def sample_kernel(kernel: Kernel, dims, spacing: float) -> np.ndarray:
             f"kernel width h*sigma = {hs} is out of range: (h*sigma)^3 and its "
             f"reciprocal must be finite and nonzero"
         )
-    r2 = _squared_offsets(dims) * (h * h)
+    off2 = _squared_offsets(dims)
     if isinstance(kernel, GaussianKernel):
-        vals = np.exp(-r2 / (2 * hs * hs)) / (hs**3 * (2 * np.pi) ** 1.5)
-        vals[r2 > radius * radius] = 0.0
+        profile = np.exp(-(off2 * (h * h)) / (2 * hs * hs)) / (hs**3 * (2 * np.pi) ** 1.5)
     else:
-        vals = np.where(r2 <= hs * hs, 3.0 / (4 * np.pi * hs**3), 0.0)
+        profile = 3.0 / (4 * np.pi * hs**3)
+    vals = np.where(off2 <= reach * reach, profile, 0.0)
     total = vals.sum() * h**3
     if total <= 0:
         raise NumericalError("sampled kernel has no mass")

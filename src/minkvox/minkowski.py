@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateImageError
-from .filters import Kernel, fft_convolve, kernel_name
+from .filters import Kernel, fft_convolve
 from .gradient import VectorField, gradient
 from .voxelgrid import VoxelGrid
 
@@ -178,7 +178,7 @@ def relative_tensor_error(estimate: SymTensor3, reference: SymTensor3) -> float:
 
 @dataclass(frozen=True)
 class MinkowskiSummary:
-    """Full analysis result for one image and one estimator configuration.
+    """Estimates of one image; the caller knows the configuration that made them.
 
     ``qnt`` and ``beta`` are None for degenerate (all-solid or all-void)
     images, flagged by ``degenerate``.
@@ -190,13 +190,6 @@ class MinkowskiSummary:
     qnt: SymTensor3 | None
     beta: float | None
     degenerate: bool
-    scheme: str
-    kernel: str
-    sigma: float | None
-    eps_rel: float
-    depth: int | None
-    spacing: float
-    dims: tuple[int, int, int]
 
 
 def analyze(
@@ -218,23 +211,7 @@ def analyze(
     try:
         q = quadratic_normal_tensor(w)
         beta = eigenvalue_ratio(q)
-        degenerate = False
     except DegenerateImageError:
-        q = None
-        beta = None
-        degenerate = True
-    return MinkowskiSummary(
-        volume=vol,
-        surface_area=area,
-        normal_tensor=w,
-        qnt=q,
-        beta=beta,
-        degenerate=degenerate,
-        scheme=scheme,
-        kernel=kernel_name(kernel),
-        sigma=None if kernel is None else kernel.sigma,
-        eps_rel=eps_rel,
-        depth=image.depth,
-        spacing=image.spacing,
-        dims=image.dims,
-    )
+        q = beta = None
+    return MinkowskiSummary(volume=vol, surface_area=area, normal_tensor=w, qnt=q,
+                            beta=beta, degenerate=q is None)

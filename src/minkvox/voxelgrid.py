@@ -20,6 +20,7 @@ __all__ = [
     "quantize",
     "shift",
     "cube_symmetries",
+    "check_cylinder",
     "SPACING_RANGE_UM",
 ]
 
@@ -126,6 +127,17 @@ class Ball:
         return c - r, c + r
 
 
+def check_cylinder(kind: str, axis, length: float, diameter: float) -> None:
+    """Raise ValueError, naming the ``kind`` of body, unless length and diameter
+    are positive and finite (infinite ones make NaN bounds) and the axis is a
+    unit vector; the negated test rejects a NaN axis too."""
+    if not (0 < length < np.inf and 0 < diameter < np.inf):
+        raise ValueError(f"{kind} length and diameter must be positive and finite")
+    n = float(np.linalg.norm(axis))
+    if not abs(n - 1.0) <= 1e-12:
+        raise ValueError(f"{kind} axis must be a unit vector, |axis| = {n}")
+
+
 @dataclass(frozen=True)
 class Cylinder:
     """Flat-capped solid cylinder given by center, unit axis, length and diameter."""
@@ -136,12 +148,7 @@ class Cylinder:
     diameter: float
 
     def __post_init__(self):
-        # infinite extents make NaN bounds (inf * 0, inf - inf)
-        if not (0 < self.length < np.inf and 0 < self.diameter < np.inf):
-            raise ValueError("cylinder length and diameter must be positive and finite")
-        n = float(np.linalg.norm(self.axis))
-        if abs(n - 1.0) > 1e-12:
-            raise ValueError(f"cylinder axis must be a unit vector, |axis| = {n}")
+        check_cylinder("cylinder", self.axis, self.length, self.diameter)
 
     def contains(self, x, y, z):
         cx, cy, cz = self.center

@@ -66,6 +66,10 @@ def test_fiberspec_validation():
         FiberSpec(axis=EX, length=0.0, diameter=1.0)
     with pytest.raises(ValueError):
         FiberSpec(axis=EX, length=1.0, diameter=-1.0)
+    with pytest.raises(ValueError, match="unit vector"):
+        FiberSpec(axis=np.array([np.nan, 0.0, 0.0]), length=1.0, diameter=1.0)
+    with pytest.raises(ValueError, match="finite"):
+        FiberSpec(axis=EX, length=np.inf, diameter=1.0)
 
 
 def test_cylinder_tensor_unit_aspect_is_isotropic():

@@ -350,8 +350,10 @@ def test_fiber_orient_json_report(capsys, tmp_path):
     assert np.allclose(a, np.diag([0.5, 0.5, 0.0]), atol=1e-9)
     assert report["reference_error"] <= 1e-9
     assert report["masked_voxels"] <= report["total_voxels"] == 24**3
-    assert report["config"]["second_kernel"] == "gaussian"
-    assert report["config"]["first_kernel"] == "ball"
+    assert report["config"] == {
+        "first_kernel": "ball", "first_sigma": 1.2, "second_kernel": "gaussian",
+        "second_sigma": 2.0, "scheme": "central", "mask_threshold_rel": 1e-3,
+    }
     vals = report["eigenvalues"]
     assert vals == sorted(vals, reverse=True)
 
@@ -504,6 +506,17 @@ def test_generate_spacing_outside_range_exits_1(capsys, tmp_path):
                             "--slab", 1, 3, "--spacing", spacing, "--out", out_path)
         _assert_one_error_line(rc, out, err, 1)
         assert not out_path.exists()
+
+
+def test_generate_nan_axis_exits_1(capsys, tmp_path):
+    # abs(nan - 1) > 1e-12 is False, so a NaN axis wrote an all-zero volume
+    out_path = tmp_path / "cyl.raw"
+    rc, out, err = _run(capsys, "generate", "--shape", "cylinder", "--dims", 12, 12, 12,
+                        "--diameter", 4, "--length", 8, "--axis", "nan", 0, 0,
+                        "--out", out_path)
+    _assert_one_error_line(rc, out, err, 1)
+    assert "unit vector" in err
+    assert not out_path.exists()
 
 
 def test_narrow_kernel_exits_1(capsys, tmp_path):

@@ -67,6 +67,10 @@ def test_sample_kernel_support_errors():
         sample_kernel(BallKernel(4.0), (8, 32, 32), 1.0)
     # fits: radius strictly below half the shortest edge
     sample_kernel(BallKernel(3.9), (8, 32, 32), 1.0)
+    # decided in voxels: 3 * 1.5 = 9 / 2 used to fit at h = 0.7 by round-off
+    for h in (0.3, 0.7, 1e-20, 1e20):
+        with pytest.raises(KernelSupportError):
+            sample_kernel(GaussianKernel(1.5), (9, 9, 9), h)
 
 
 def test_sample_kernel_width_out_of_float_range(recwarn):
@@ -80,6 +84,18 @@ def test_sample_kernel_width_out_of_float_range(recwarn):
     for sigma in (1e-30, 1e-100):
         vals = sample_kernel(BallKernel(sigma), (8, 8, 8), 1.0)
         assert vals[0, 0, 0] == 1.0 and np.count_nonzero(vals) == 1
+
+
+def test_sample_kernel_support_independent_of_spacing():
+    # 6^2 = 36 and 3^2 = 9 are sums of three integer squares, so lattice
+    # points lie exactly on both truncation spheres; decided on the physical
+    # r^2 = off^2 h^2, they used to drop out at h = 0.3, 0.7 and 1e-20
+    for kern, count in ((GaussianKernel(2.0), 925), (BallKernel(3.0), 123)):
+        ref = sample_kernel(kern, (24, 24, 24), 1.0)
+        for h in (0.3, 0.7, 1.0, 3.0, 1e-20, 1e20):
+            vals = sample_kernel(kern, (24, 24, 24), h)
+            assert np.count_nonzero(vals) == count, (kern, h)
+            assert np.abs(vals * h**3 - ref).max() <= 1e-15, (kern, h)
 
 
 def test_sampled_kernels_invariant_under_cube_group():

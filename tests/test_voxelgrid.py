@@ -127,6 +127,9 @@ def test_shape_validation():
     with pytest.raises(ValueError):
         Cylinder(center=(0.0,) * 3, axis=(1.0, 0.0, 0.0), length=-1.0,
                  diameter=1.0)
+    with pytest.raises(ValueError, match="unit vector"):
+        Cylinder(center=(0.0,) * 3, axis=(np.nan, 0.0, 0.0), length=1.0,
+                 diameter=1.0)
     with pytest.raises(ValueError):
         Laminate(axis=3, slabs=((0.0, 1.0),))
     with pytest.raises(ValueError):
