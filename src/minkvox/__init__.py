@@ -37,8 +37,7 @@ from .minkowski import (
     SymTensor3,
     analyze,
     eigenvalue_ratio,
-    estimate_normal_tensor,
-    estimate_surface,
+    estimate_surface_and_tensor,
     estimate_volume,
     quadratic_normal_tensor,
     relative_tensor_error,

@@ -8,9 +8,11 @@ import numpy as np
 
 from .voxelgrid import VoxelGrid
 
-__all__ = ["SCHEMES", "VectorField", "gradient", "unit_normals"]
+__all__ = ["SCHEMES", "VectorField", "gradient", "stencil", "unit_normals"]
 
 SCHEMES = ("central", "forward", "backward")
+# per scheme: f(x + up) - f(x + down) over div * h, offsets in voxels along the axis
+_STENCILS = {"central": (1, -1, 2), "forward": (1, 0, 1), "backward": (0, -1, 1)}
 
 
 @dataclass(frozen=True)
@@ -34,10 +36,6 @@ class VectorField:
         data.setflags(write=False)
         object.__setattr__(self, "data", data)
 
-    @property
-    def dims(self) -> tuple[int, int, int]:
-        return self.data.shape[:3]
-
     def norms(self) -> np.ndarray:
         """Euclidean norm per voxel."""
         return np.sqrt(np.einsum("...i,...i->...", self.data, self.data))
@@ -50,19 +48,32 @@ def gradient(image: VoxelGrid, scheme: str = "central") -> VectorField:
     ``backward`` the corresponding one-sided differences.  All stencils wrap
     around the periodic boundary.
     """
+    out = np.empty(image.dims + (3,))
+    stencil(image.values, 0, image.dims[0], image.spacing, scheme, out=np.moveaxis(out, -1, 0))
+    return VectorField(out, image.spacing, scheme)
+
+
+def stencil(f: np.ndarray, x0: int, x1: int, h: float, scheme: str,
+            out: np.ndarray | None = None) -> np.ndarray:
+    """Gradient, shape (3, x1 - x0, ny, nz), of x-layers x0:x1 of the periodic array f.
+
+    Neighbors across the boundary are read by slicing f in place, bitwise as
+    the difference of np.roll copies; see gradient for the schemes.
+    """
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}, expected one of {SCHEMES}")
-    f = image.values
-    h = image.spacing
-    out = np.empty(f.shape + (3,), dtype=np.float64)
-    for i in range(3):
-        if scheme == "central":
-            out[..., i] = (np.roll(f, -1, axis=i) - np.roll(f, 1, axis=i)) / (2 * h)
-        elif scheme == "forward":
-            out[..., i] = (np.roll(f, -1, axis=i) - f) / h
-        else:
-            out[..., i] = (f - np.roll(f, 1, axis=i)) / h
-    return VectorField(out, h, scheme)
+    up, down, div = _STENCILS[scheme]
+    slab = f[x0:x1]
+    out = np.empty((3,) + slab.shape) if out is None else out
+    for axis, (src, lo) in enumerate(((f, x0), (slab, 0), (slab, 0))):
+        src, dst = np.moveaxis(src, axis, 0), np.moveaxis(out[axis], axis, 0)  # axis first
+        n, hi = len(src), lo + len(dst)
+        cuts = sorted({lo, hi} | {c for c in (1, n - 1) if lo < c < hi})  # pieces without wrap
+        for a, b in zip(cuts, cuts[1:]):
+            i, j = (a + up) % n, (a + down) % n
+            np.subtract(src[i:i + b - a], src[j:j + b - a], out=dst[a - lo:b - lo])
+        out[axis] /= div * h
+    return out
 
 
 def unit_normals(field: VectorField) -> VectorField:

@@ -12,6 +12,10 @@ of normalized gradient outer products,
 with a relative regularization eps = eps_rel * max |g|.  Voxels with exactly
 zero gradient are skipped.  The quadratic normal tensor is W normalized to
 unit trace.
+
+S and W are sums of per-voxel terms (Svane, Image Anal. Stereol. 34, 2015),
+taken over x-slabs of _SLAB layers in two passes, |g| first and then the outer
+products of the nonzero gradients; no whole-grid gradient is ever held.
 """
 
 from __future__ import annotations
@@ -22,15 +26,14 @@ import numpy as np
 
 from .errors import DegenerateImageError
 from .filters import Kernel, fft_convolve
-from .gradient import VectorField, gradient
+from .gradient import stencil
 from .voxelgrid import VoxelGrid
 
 __all__ = [
     "SymTensor3",
     "MinkowskiSummary",
     "estimate_volume",
-    "estimate_surface",
-    "estimate_normal_tensor",
+    "estimate_surface_and_tensor",
     "quadratic_normal_tensor",
     "unit_trace",
     "eigenvalue_ratio",
@@ -39,6 +42,7 @@ __all__ = [
 ]
 
 DEFAULT_EPS_REL = 1e-12
+_SLAB = 4  # x-layers per slab of the S/W sums; bounds the per-slab temporaries
 
 
 @dataclass(frozen=True)
@@ -60,10 +64,6 @@ class SymTensor3:
         mat = np.ascontiguousarray((mat + mat.T) / 2)
         mat.setflags(write=False)
         object.__setattr__(self, "mat", mat)
-
-    @classmethod
-    def zero(cls) -> "SymTensor3":
-        return cls(np.zeros((3, 3)))
 
     def trace(self) -> float:
         return float(np.trace(self.mat))
@@ -108,32 +108,36 @@ def estimate_volume(image: VoxelGrid) -> float:
     return float(image.values.sum()) * image.spacing**3
 
 
-def estimate_surface(field: VectorField) -> float:
-    """Surface area estimate from gradient magnitudes."""
-    return float(field.norms().sum()) * field.spacing**3
+def estimate_surface_and_tensor(
+    image: VoxelGrid, kernel: Kernel = None, scheme: str = "central",
+    eps_rel: float = DEFAULT_EPS_REL,
+) -> tuple[float, SymTensor3]:
+    """Surface area sum |g| h^3 and interface tensor (1/3) sum g g^T/(|g| + eps) h^3.
 
-
-def estimate_normal_tensor(field: VectorField, eps_rel: float = DEFAULT_EPS_REL) -> SymTensor3:
-    """Interface tensor estimate (1/3) sum g(x)g(x)/(|g| + eps) h^3.
-
-    The regularization eps is ``eps_rel`` times the largest gradient
-    magnitude; voxels with exactly zero gradient are skipped, so an image
-    without interfaces yields the zero tensor.
+    g is the gradient of ``image`` filtered by ``kernel``, eps is ``eps_rel``
+    (checked before the filter runs) times max |g|, and voxels with zero
+    gradient are skipped, so an image without interfaces yields S = 0, W = 0.
     """
     if not 0 <= eps_rel < np.inf:
         raise ValueError(f"eps_rel must be non-negative and finite, got {eps_rel}")
-    norms = field.norms()
-    gmax = float(norms.max())
-    if gmax == 0.0:
-        return SymTensor3.zero()
-    mask = norms > 0.0
-    g = field.data[mask]
-    weight = field.spacing**3 / (norms[mask] + eps_rel * gmax)
-    mat = np.empty((3, 3))
-    for i in range(3):
-        for j in range(i, 3):
-            mat[i, j] = mat[j, i] = np.sum(g[:, i] * g[:, j] * weight)
-    return SymTensor3(mat / 3.0)
+    f, h = fft_convolve(image, kernel).values, image.spacing
+    starts = range(0, f.shape[0], _SLAB)
+
+    def slab(x0):
+        g = stencil(f, x0, min(x0 + _SLAB, f.shape[0]), h, scheme).reshape(3, -1)
+        return g, np.sqrt(np.einsum("ij,ij->j", g, g))
+
+    sums = [(float(norms.sum()), float(norms.max())) for _, norms in map(slab, starts)]
+    total, gmax = sum(s for s, _ in sums), max(m for _, m in sums)
+    mat = np.zeros((3, 3))
+    for x0 in starts:
+        g, norms = slab(x0)
+        keep = norms > 0.0
+        # g sqrt(w) times its transpose is the weighted sum; numpy runs x @ x.T as syrk
+        g = np.compress(keep, g, axis=1)
+        g *= np.sqrt(h**3 / (np.compress(keep, norms) + eps_rel * gmax))
+        mat += g @ g.T
+    return total * h**3, SymTensor3(mat / 3.0)
 
 
 def unit_trace(mat: np.ndarray) -> np.ndarray:
@@ -205,9 +209,7 @@ def analyze(
     filtered image.
     """
     vol = estimate_volume(image)
-    grad = gradient(fft_convolve(image, kernel), scheme)
-    area = estimate_surface(grad)
-    w = estimate_normal_tensor(grad, eps_rel)
+    area, w = estimate_surface_and_tensor(image, kernel, scheme, eps_rel)
     try:
         q = quadratic_normal_tensor(w)
         beta = eigenvalue_ratio(q)

@@ -113,6 +113,8 @@ class Ball:
     radius: float
 
     def __post_init__(self):
+        if not np.isfinite(self.center).all():  # shape_in_box passes non-finite bounds
+            raise ValueError(f"ball center {list(map(float, self.center))} is not finite")
         if not 0 < self.radius < np.inf:
             raise ValueError(f"radius must be positive and finite, got {self.radius}")
 
@@ -148,6 +150,8 @@ class Cylinder:
     diameter: float
 
     def __post_init__(self):
+        if not np.isfinite(self.center).all():  # as for Ball
+            raise ValueError(f"cylinder center {list(map(float, self.center))} is not finite")
         check_cylinder("cylinder", self.axis, self.length, self.diameter)
 
     def contains(self, x, y, z):
@@ -247,7 +251,8 @@ def voxelize(shape, dims, spacing: float, depth: int = 1) -> VoxelGrid:
     -------
     VoxelGrid with ``depth=p``.  The fine sample block is built in z-chunks
     of at most 2^24 booleans (or one voxel layer, if larger), which bounds
-    the memory beyond the output.
+    the memory beyond the output.  A voxel layer of more than 2^26 samples,
+    nx ny p^3, raises ValueError before anything is allocated.
     """
     dims = tuple(int(n) for n in dims)
     if len(dims) != 3 or min(dims) < 2:
@@ -258,6 +263,9 @@ def voxelize(shape, dims, spacing: float, depth: int = 1) -> VoxelGrid:
 
     p = depth
     nx, ny, nz = dims
+    layer = nx * ny * p**3  # sub-samples in one voxel layer, the smallest z-chunk
+    if layer > 1 << 26:  # its shape tests take 8-32 B per sample
+        raise ValueError(f"depth {p} needs {layer} sub-samples per voxel layer, above 2^26")
     fine = spacing / p
     coords = [(np.arange(n * p) + 0.5) * fine for n in dims]
     boxes = []
@@ -273,7 +281,7 @@ def voxelize(shape, dims, spacing: float, depth: int = 1) -> VoxelGrid:
     frac = np.empty(dims, dtype=np.float64)
     # chunk along z to bound the size of the fine boolean block
     max_cells = 1 << 24
-    zstep = max(1, max_cells // (nx * p * ny * p * p))
+    zstep = max(1, max_cells // layer)
     for z0 in range(0, nz, zstep):
         z1 = min(z0 + zstep, nz)
         block = np.zeros((nx * p, ny * p, (z1 - z0) * p), dtype=bool)

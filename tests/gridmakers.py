@@ -108,3 +108,17 @@ def random_grid(rng: np.random.Generator, dims=(12, 12, 12), h: float = 1.0,
     if depth is not None:
         return quantize(g, depth)
     return g
+
+
+def roll_gradient(vals: np.ndarray, h: float, scheme: str) -> np.ndarray:
+    """Whole-grid reference gradient, shape vals.shape + (3,), from np.roll copies."""
+    out = np.empty(vals.shape + (3,))
+    for i in range(3):
+        up, down = np.roll(vals, -1, axis=i), np.roll(vals, 1, axis=i)
+        if scheme == "central":
+            out[..., i] = (up - down) / (2 * h)
+        elif scheme == "forward":
+            out[..., i] = (up - vals) / h
+        else:
+            out[..., i] = (vals - down) / h
+    return out

@@ -519,6 +519,24 @@ def test_generate_nan_axis_exits_1(capsys, tmp_path):
     assert not out_path.exists()
 
 
+def test_generate_non_finite_center_exits_1(capsys, tmp_path):
+    # a non-finite center passed shape_in_box and wrote an all-zero volume
+    out_path = tmp_path / "shape.raw"
+    shapes = (("ball",), ("cylinder", "--length", 8))
+    for shape in shapes:
+        for value in ("nan", "inf"):
+            rc, out, err = _run(capsys, "generate", "--shape", *shape, "--dims", 12, 12, 12,
+                                "--diameter", 4, "--center", value, 6, 6, "--out", out_path)
+            _assert_one_error_line(rc, out, err, 1)
+            assert "center" in err and "is not finite" in err
+            assert not out_path.exists()
+        # argparse reads "-inf" as a flag, so it never reaches the shape
+        rc, out, err = _run(capsys, "generate", "--shape", *shape, "--dims", 12, 12, 12,
+                            "--diameter", 4, "--center", 6, 6, "-inf", "--out", out_path)
+        _assert_one_error_line(rc, out, err, 1)
+        assert not out_path.exists()
+
+
 def test_narrow_kernel_exits_1(capsys, tmp_path):
     path = _gen_ball(capsys, tmp_path)
     for kernel, sigma in (("ball", "1e-110"), ("gaussian", "1e-160"), ("gaussian", "1e-110")):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from minkvox import minkowski
 from minkvox import (
     Ball,
     BallKernel,
@@ -13,10 +14,8 @@ from minkvox import (
     ball_quantities,
     cube_symmetries,
     eigenvalue_ratio,
-    estimate_normal_tensor,
-    estimate_surface,
+    estimate_surface_and_tensor,
     estimate_volume,
-    gradient,
     quadratic_normal_tensor,
     quantize,
     relative_tensor_error,
@@ -29,6 +28,7 @@ from gridmakers import (
     binary_laminate,
     displaced_ball,
     random_grid,
+    roll_gradient,
     single_voxel,
 )
 
@@ -63,11 +63,16 @@ def test_tensor_rejects_non_finite_entries():
             SymTensor3(np.diag([bad, 1.0, 1.0]))
 
 
-def test_normal_tensor_eps_rel_must_be_finite():
-    field = gradient(single_voxel(), "central")
+def test_normal_tensor_eps_rel_must_be_finite(monkeypatch):
+    def no_filter(*args):
+        raise AssertionError("eps_rel must be checked before the filter runs")
+
+    monkeypatch.setattr(minkowski, "fft_convolve", no_filter)
     for bad in (np.nan, np.inf, -1.0):
         with pytest.raises(ValueError, match="eps_rel"):
-            estimate_normal_tensor(field, bad)
+            estimate_surface_and_tensor(single_voxel(), None, "central", bad)
+        with pytest.raises(ValueError, match="non-negative and finite"):
+            analyze(single_voxel(), kernel=BallKernel(1.2), eps_rel=bad)
 
 
 def test_tensor_eigensystem_deterministic():
@@ -125,23 +130,29 @@ def test_ball_volume_accurate_at_low_resolution():
 def test_laminate_surface_exact():
     for axis in range(3):
         g = binary_laminate(axis=axis, n=24, h=0.75)
-        f = gradient(g, "central")
         area = 2 * 24 * 24 * 0.75**2  # two interfaces
-        assert estimate_surface(f) == pytest.approx(area, rel=1e-12)
+        s = estimate_surface_and_tensor(g, None, "central")[0]
+        assert s == pytest.approx(area, rel=1e-12)
 
 
 def test_single_voxel_surface_and_tensor():
     g = single_voxel(n=8, h=0.5)
-    f = gradient(g, "central")
-    assert estimate_surface(f) == pytest.approx(3 * 0.5**2, rel=1e-12)
-    w = estimate_normal_tensor(f)
+    s, w = estimate_surface_and_tensor(g, None, "central")
+    assert s == pytest.approx(3 * 0.5**2, rel=1e-12)
     assert np.abs(w.mat - (0.5**2 / 3) * np.eye(3)).max() <= 1e-9 * 0.5**2
 
 
 def test_zero_field_gives_zero_tensor():
     g = VoxelGrid(np.zeros((4, 4, 4)), spacing=1.0, depth=1)
-    w = estimate_normal_tensor(gradient(g, "central"))
+    w = estimate_surface_and_tensor(g, None, "central")[1]
     assert np.all(w.mat == 0.0)
+    # any constant image, over one or several slabs, in every scheme
+    for nx in (2, 3 * minkowski._SLAB + 1):
+        g = VoxelGrid(np.full((nx, 5, 6), 0.3), spacing=0.7, depth=None)
+        for scheme in ("central", "forward", "backward"):
+            s, w = estimate_surface_and_tensor(g, None, scheme)
+            assert s == 0.0
+            assert np.all(w.mat == 0.0)
 
 
 def test_surface_consistency_with_tensor_trace():
@@ -149,10 +160,38 @@ def test_surface_consistency_with_tensor_trace():
     rng = np.random.default_rng(61)
     for _ in range(5):
         g = random_grid(rng, (10, 10, 10), depth=3)
-        f = gradient(g, "central")
-        s = estimate_surface(f)
-        w = estimate_normal_tensor(f, eps_rel=1e-12)
+        s, w = estimate_surface_and_tensor(g, None, "central", eps_rel=1e-12)
         assert abs(3 * w.trace() - s) / s <= 1e-9
+
+
+def _whole_grid_sums(vals, h, scheme, eps_rel):
+    # the estimator's formula on the whole np.roll gradient at once
+    g = roll_gradient(vals, h, scheme)
+    norms = np.sqrt((g * g).sum(axis=-1))
+    keep = norms > 0
+    w = h**3 / (norms[keep] + eps_rel * norms.max())
+    return norms.sum() * h**3, np.einsum("ni,nj,n->ij", g[keep], g[keep], w) / 3
+
+
+def test_slab_sums_match_whole_grid_reference():
+    slab = minkowski._SLAB
+    rng = np.random.default_rng(62)
+    # nx = 2 (both x-neighbors are one layer), below one slab, one slab,
+    # not a multiple of the slab height, several slabs
+    for nx in (2, slab - 1, slab, slab + 1, 2 * slab + 3):
+        for dims in ((nx, 7, 3), (nx, 5, 6)):
+            binary = np.floor(rng.random(dims) + 0.3)  # zero gradients where it is flat
+            for vals in (rng.random(dims), binary):
+                for h in (0.7, 1.0):
+                    g = VoxelGrid(vals, spacing=h, depth=None)
+                    for scheme in ("central", "forward", "backward"):
+                        for eps_rel in (1e-12, 0.0, 1e-3):
+                            s, w = estimate_surface_and_tensor(g, None, scheme, eps_rel)
+                            s_ref, w_ref = _whole_grid_sums(vals, h, scheme, eps_rel)
+                            case = (dims, h, scheme, eps_rel)
+                            assert abs(s - s_ref) <= 1e-13 * s_ref, case
+                            scale = np.abs(w_ref).max()
+                            assert np.abs(w.mat - w_ref).max() <= 1e-13 * scale, case
 
 
 def test_ball_tensor_error_band():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -103,6 +105,15 @@ def test_voxelize_argument_validation():
         voxelize(ball, (4, 4, 4), -1.0, 1)
     with pytest.raises(ValueError):
         voxelize(ball, (4, 4, 4), 1.0, 0)
+    # one voxel layer at depth 400 holds 4.1e9 sub-samples; refused up front
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="sub-samples per voxel layer"):
+            voxelize(Ball(center=(4.0,) * 3, radius=2.0), (8, 8, 8), 1.0, 400)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_voxelize_mean_error_improves_with_depth():
@@ -130,6 +141,13 @@ def test_shape_validation():
     with pytest.raises(ValueError, match="unit vector"):
         Cylinder(center=(0.0,) * 3, axis=(np.nan, 0.0, 0.0), length=1.0,
                  diameter=1.0)
+    # shape_in_box passes non-finite bounds, so the shapes refuse them
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="center .* is not finite"):
+            Ball(center=(1.0, bad, 1.0), radius=1.0)
+        with pytest.raises(ValueError, match="center .* is not finite"):
+            Cylinder(center=(bad, 1.0, 1.0), axis=(0.0, 0.0, 1.0), length=1.0,
+                     diameter=1.0)
     with pytest.raises(ValueError):
         Laminate(axis=3, slabs=((0.0, 1.0),))
     with pytest.raises(ValueError):
