@@ -157,6 +157,8 @@ def _cmd_generate(args) -> int:
             f"x[0, {box[2]}] um; shapes are not wrapped periodically"
         )
     grid = voxelize(shape, tuple(args.dims), args.spacing, depth=args.depth)
+    if not grid.values.any():
+        raise _UsageError(f"shape covers no sample point at --depth {args.depth}")
     dtype = None if args.dtype == "auto" else args.dtype
     store_volume(grid, args.out, dtype=dtype)
     return 0

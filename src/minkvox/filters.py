@@ -4,7 +4,10 @@ Kernels are defined in physical units on the voxel lattice: a Gaussian with
 standard deviation h*sigma truncated at 3*h*sigma, and an indicator ball of
 radius h*sigma.  Both are sampled at the voxel centers in wrap-around layout
 (peak at index (0, 0, 0)) and renormalized so that the discrete sum times h^3
-is exactly one, which makes the convolution mean-preserving.
+is exactly one, which makes the convolution mean-preserving.  The profile is
+evaluated on the support's bounding box of offsets only.  The transfer
+function runs numpy's rfftn passes (z, then y, then x) on the rows that box
+reaches, since all-zero rows transform to exact zeros.
 """
 
 from __future__ import annotations
@@ -67,32 +70,12 @@ def support_radius(kernel: Kernel, spacing: float) -> float:
     return 0.0 if kernel is None else kernel.reach * spacing * kernel.sigma
 
 
-def _squared_offsets(dims) -> np.ndarray:
-    """Integer squared lattice distance to the origin in wrap-around layout.
+def _box_samples(kernel: Kernel, dims, spacing: float):
+    """Normalized samples on the support box and, per axis, their grid indices.
 
-    Summing the integer squares before scaling keeps the sampled kernel
-    bitwise invariant under all 48 cube symmetries.
-    """
-    axes = []
-    for n in dims:
-        idx = np.arange(n)
-        off = np.where(idx <= n // 2, idx, idx - n)
-        axes.append(off * off)
-    return (
-        axes[0][:, None, None] + axes[1][None, :, None] + axes[2][None, None, :]
-    )
-
-
-def sample_kernel(kernel: Kernel, dims, spacing: float) -> np.ndarray:
-    """Sample a kernel at the voxel centers of a periodic grid.
-
-    Returns the raw kernel values in wrap-around layout, renormalized so that
-    ``values.sum() * spacing**3 == 1`` up to round-off.  A voxel center is
-    in the support when its integer squared offset from the origin, in
-    voxels, is at most ``(kernel.reach * kernel.sigma)**2``, so the same
-    points are kept at every h.  Raises KernelSupportError if that radius,
-    in voxels, is not below half the shortest edge, or if (h sigma)^3 or its
-    reciprocal is not a finite nonzero float.
+    The box offsets run 0..r, -r..-1 with r = int(reach).  Summing the integer
+    squares before scaling keeps the samples bitwise invariant under all 48
+    cube symmetries.
     """
     if kernel is None:
         raise ValueError("cannot sample the identity kernel (None)")
@@ -115,7 +98,9 @@ def sample_kernel(kernel: Kernel, dims, spacing: float) -> np.ndarray:
             f"kernel width h*sigma = {hs} is out of range: (h*sigma)^3 and its "
             f"reciprocal must be finite and nonzero"
         )
-    off2 = _squared_offsets(dims)
+    off = np.r_[0:int(reach) + 1, -int(reach):0]  # 2 r + 1 <= n on every axis
+    sq = off * off
+    off2 = sq[:, None, None] + sq[None, :, None] + sq[None, None, :]
     if isinstance(kernel, GaussianKernel):
         profile = np.exp(-(off2 * (h * h)) / (2 * hs * hs)) / (hs**3 * (2 * np.pi) ** 1.5)
     else:
@@ -124,19 +109,52 @@ def sample_kernel(kernel: Kernel, dims, spacing: float) -> np.ndarray:
     total = vals.sum() * h**3
     if total <= 0:
         raise NumericalError("sampled kernel has no mass")
-    return vals / total
+    return vals / total, [off % n for n in dims]
+
+
+def sample_kernel(kernel: Kernel, dims, spacing: float) -> np.ndarray:
+    """Sample a kernel at the voxel centers of a periodic grid.
+
+    Returns the raw kernel values in wrap-around layout, renormalized so that
+    ``values.sum() * spacing**3 == 1`` up to round-off.  A voxel center is
+    in the support when its integer squared offset from the origin, in
+    voxels, is at most ``(kernel.reach * kernel.sigma)**2``, so the same
+    points are kept at every h; they are sampled on the support's bounding
+    box and scattered into zeros.  Raises KernelSupportError if that radius,
+    in voxels, is not below half the shortest edge, or if (h sigma)^3 or its
+    reciprocal is not a finite nonzero float.
+    """
+    box, index = _box_samples(kernel, dims, spacing)
+    vals = np.zeros(tuple(int(n) for n in dims))
+    vals[np.ix_(*index)] = box
+    return vals
 
 
 def kernel_transfer(kernel: Kernel, dims, spacing: float) -> np.ndarray:
     """Fourier transfer function of the sampled kernel, including the h^3 weight."""
-    vals = sample_kernel(kernel, dims, spacing)
-    return np.fft.rfftn(vals) * spacing**3
+    box, (ix, iy, iz) = _box_samples(kernel, dims, spacing)
+    nx, ny, nz = (int(n) for n in dims)
+    rows = np.zeros(box.shape[:2] + (nz,))
+    rows[:, :, iz] = box
+    part = np.zeros((len(ix), ny, nz // 2 + 1), complex)
+    part[:, iy] = np.fft.rfft(rows, axis=2)
+    spec = np.zeros((nx, ny, nz // 2 + 1), complex)
+    spec[ix] = np.fft.fft(part, axis=1)
+    np.fft.fft(spec, axis=0, out=spec)
+    spec *= spacing**3
+    return spec
 
 
 def apply_transfer(values: np.ndarray, transfer: np.ndarray) -> np.ndarray:
-    """Periodic convolution of a raw value array with a precomputed transfer."""
-    return np.fft.irfftn(np.fft.rfftn(values) * transfer, s=values.shape,
-                         axes=(0, 1, 2))
+    """Periodic convolution of a raw value array with a precomputed transfer.
+
+    ``irfftn(rfftn(values) * transfer)``, with the complex passes in place.
+    """
+    spec = np.fft.rfftn(values)
+    spec *= transfer
+    for axis in (0, 1):
+        np.fft.ifft(spec, axis=axis, out=spec)
+    return np.fft.irfft(spec, values.shape[2], axis=2)
 
 
 def fft_convolve(image: VoxelGrid, kernel: Kernel) -> VoxelGrid:

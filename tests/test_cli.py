@@ -1,16 +1,21 @@
 """CLI behavior: exit codes, report schemas, and agreement with the library calls.
 
-All tests drive minkvox.cli.main() in process; the console script is the same
-function behind a sys.exit wrapper.
+All tests but the import guard drive minkvox.cli.main() in process; the
+console script is the same function behind a sys.exit wrapper.
 """
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import minkvox
 from minkvox import ConvergenceRow, VoxelGrid, analyze, load_volume, store_volume
 from minkvox.cli import main
 from minkvox.filters import BallKernel
@@ -30,6 +35,15 @@ def _gen_ball(capsys, tmp_path, name="ball.raw", depth=3):
     )
     assert rc == 0, err
     return path
+
+
+def test_cli_import_loads_no_scipy():
+    # importing scipy.fft costs about 0.3 s and 25 MB in every minkvox process
+    code = "import sys, minkvox.cli; print([m for m in sys.modules if m.startswith('scipy')])"
+    env = dict(os.environ, PYTHONPATH=str(Path(minkvox.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60, check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 # ---------------------------------------------------------------------------
@@ -517,6 +531,25 @@ def test_generate_nan_axis_exits_1(capsys, tmp_path):
     _assert_one_error_line(rc, out, err, 1)
     assert "unit vector" in err
     assert not out_path.exists()
+
+
+def test_generate_shape_between_sample_points_exits_1(capsys, tmp_path):
+    # a shape no sample point falls into wrote an all-zero volume with exit 0
+    out_path = tmp_path / "shape.raw"
+    for shape, depth in ((("ball", "--diameter", 0.5), 1), (("ball", "--diameter", 1), 1),
+                         (("ball", "--diameter", "1e-110"), 2),
+                         (("cylinder", "--diameter", 0.5, "--length", 0.5), 2),
+                         (("laminate", "--slab", 3.1, 3.2), 2)):
+        rc, out, err = _run(capsys, "generate", "--shape", *shape, "--dims", 12, 12, 12,
+                            "--depth", depth, "--out", out_path)
+        _assert_one_error_line(rc, out, err, 1)
+        assert "covers no sample point" in err
+        assert not out_path.exists()
+    # one sub-sample of depth 2 lies within 0.5 of the center (6, 6, 6)
+    rc, _, err = _run(capsys, "generate", "--shape", "ball", "--diameter", 1, "--dims",
+                      12, 12, 12, "--depth", 2, "--out", out_path)
+    assert rc == 0, err
+    assert load_volume(out_path).values.sum() > 0
 
 
 def test_generate_non_finite_center_exits_1(capsys, tmp_path):

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from minkvox import Ball, store_volume, voxelize
+from minkvox import Ball, load_volume, store_volume, voxelize
 from minkvox.cli import main
 
 EXTREMES = (0.0, -1.0, 1e-110, -1e-110, 1e110, -1e110,
@@ -62,6 +62,7 @@ def _check(argv):
     if rc != 0:
         assert out == "", argv
         assert err.startswith("minkvox: error:") and err.count("\n") == 1, (argv, err)
+    return rc
 
 
 @pytest.fixture(scope="module")
@@ -110,8 +111,11 @@ def test_fiber_orient_flags(volume, first, second, first_sigma, second_sigma, ma
 def test_generate_flags(tmp_path_factory, shape, spacing, diameter, length, center, axis,
                         slab, fiber, depth):
     out = tmp_path_factory.getbasetemp() / "fuzz-generate.raw"
-    _check(["generate", "--shape", shape, "--dims", 12, 12, 12, "--depth", depth,
-            "--out", out] + spacing + diameter + length + center + axis + slab + fiber)
+    out.unlink(missing_ok=True)
+    rc = _check(["generate", "--shape", shape, "--dims", 12, 12, 12, "--depth", depth,
+                 "--out", out] + spacing + diameter + length + center + axis + slab + fiber)
+    if rc == 0 and shape in ("ball", "cylinder"):
+        assert load_volume(out).values.sum() > 0, "empty volume written"
 
 
 @FUZZ

@@ -13,7 +13,7 @@ from minkvox import (
     shift,
     support_radius,
 )
-from minkvox.filters import GAUSSIAN_TRUNCATION_SIGMAS
+from minkvox.filters import GAUSSIAN_TRUNCATION_SIGMAS, apply_transfer, kernel_transfer
 
 from gridmakers import binary_laminate, random_grid
 
@@ -113,6 +113,40 @@ def test_sampled_kernels_invariant_under_cube_group():
                     out = out[tuple(rev if a == ax else slice(None)
                                     for a in range(3))]
             assert np.array_equal(out, vals), (kern, mat)
+
+
+def test_kernel_transfer_matches_whole_grid_rfftn():
+    # the staged transform skips the rows outside the support box; those are
+    # zero, so the result is the whole-grid rfftn of the sampled kernel.
+    # Ball 0.4 is a one-voxel support, radius 4 fills the 9-voxel axis (2 r + 1 = n)
+    cases = [(kern, dims) for dims in ((24, 20, 22), (9, 11, 13))
+             for kern in (BallKernel(0.4), BallKernel(2.5), BallKernel(4.2),
+                          GaussianKernel(1.2), GaussianKernel(1.45))]
+    for kern, dims in cases:
+        for h in (0.7, 2.3):
+            transfer = kernel_transfer(kern, dims, h)
+            ref = np.fft.rfftn(sample_kernel(kern, dims, h)) * h**3
+            assert transfer.shape == ref.shape, (kern, dims, h)
+            assert np.abs(transfer - ref).max() <= 1e-15, (kern, dims, h)
+            assert abs(transfer[0, 0, 0] - 1.0) <= 1e-15, (kern, dims, h)
+            if isinstance(kern, BallKernel):
+                assert np.array_equal(transfer, ref), (kern, dims, h)
+
+
+def test_apply_transfer_matches_irfftn():
+    # the inverse runs in place on one spectrum; inputs stay untouched
+    rng = np.random.default_rng(46)
+    for dims in ((24, 20, 22), (9, 11, 13)):
+        values = rng.random(dims)
+        for kern in (BallKernel(1.2), GaussianKernel(1.45)):
+            transfer = kernel_transfer(kern, dims, 0.7)
+            before_values, before_transfer = values.copy(), transfer.copy()
+            out = apply_transfer(values, transfer)
+            ref = np.fft.irfftn(np.fft.rfftn(values) * transfer, s=values.shape,
+                                axes=(0, 1, 2))
+            assert np.array_equal(out, ref), (dims, kern)
+            assert np.array_equal(values, before_values)
+            assert np.array_equal(transfer, before_transfer)
 
 
 def test_convolution_preserves_constants():
