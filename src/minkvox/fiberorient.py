@@ -6,7 +6,9 @@ Sci. 45, 2010).  Its eigenvector for the smallest eigenvalue is the direction
 of least gray-value variation, which for fibrous structures is the local
 fiber axis.  Averaging the outer products of these eigenvectors over all
 sufficiently structured voxels and normalizing by the trace yields an
-estimate of the second-order orientation tensor A = <p p^T>.
+estimate of the second-order orientation tensor A = <p p^T>.  Each x-slab's
+products g_i g_j go straight into the buffer of the six components, which are
+then blurred in place; the whole gradient is never held.
 
 The eigen stage runs in closed form on the six tensor components, chunk by
 chunk (Kopp, "Efficient numerical diagonalization of hermitian 3x3
@@ -30,8 +32,8 @@ import numpy as np
 
 from .errors import DegenerateImageError
 from .filters import Kernel, fft_convolve, kernel_transfer, apply_transfer
-from .gradient import gradient
-from .minkowski import SymTensor3, unit_trace
+from .gradient import stencil
+from .minkowski import _SLAB, SymTensor3, unit_trace
 from .voxelgrid import VoxelGrid
 
 __all__ = ["OrientationResult", "structure_tensor_orientation"]
@@ -95,15 +97,21 @@ def structure_tensor_orientation(
     if not math.isfinite(mask_threshold_rel):
         raise ValueError(f"mask threshold must be finite, got {mask_threshold_rel}")
 
-    grad = gradient(fft_convolve(image, first_kernel), scheme)
-    g = grad.data
-    transfer = kernel_transfer(second_kernel, image.dims, image.spacing)
-
+    # values in [0, 1] and h >= 1e-20 give |g| <= 1e20: every product is finite
+    f = fft_convolve(image, first_kernel).values
     blurred = np.empty((6,) + image.dims)
-    for slot, (i, j) in enumerate(_PAIRS):
-        blurred[slot] = apply_transfer(g[..., i] * g[..., j], transfer)
+    for x0 in range(0, len(f), _SLAB):
+        g = stencil(f, x0, x0 + _SLAB, image.spacing, scheme)
+        for slot, (i, j) in enumerate(_PAIRS):
+            np.multiply(g[i], g[j], out=blurred[slot, x0:x0 + _SLAB])
+    del f
+    transfer = kernel_transfer(second_kernel, image.dims, image.spacing)
+    for slot in blurred:
+        apply_transfer(slot, transfer, out=slot)
+    del transfer
 
-    trace = blurred[0] + blurred[1] + blurred[2]
+    trace = blurred[0] + blurred[1]
+    trace += blurred[2]
     if mask_threshold_rel > 0:
         mask = trace >= mask_threshold_rel * trace.max()
     else:

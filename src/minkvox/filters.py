@@ -145,16 +145,18 @@ def kernel_transfer(kernel: Kernel, dims, spacing: float) -> np.ndarray:
     return spec
 
 
-def apply_transfer(values: np.ndarray, transfer: np.ndarray) -> np.ndarray:
+def apply_transfer(values: np.ndarray, transfer: np.ndarray,
+                   out: np.ndarray | None = None) -> np.ndarray:
     """Periodic convolution of a raw value array with a precomputed transfer.
 
-    ``irfftn(rfftn(values) * transfer)``, with the complex passes in place.
+    ``irfftn(rfftn(values) * transfer)`` through one complex spectrum, written
+    into ``out`` (new if None) and returned; ``out`` may alias ``values``.
     """
-    spec = np.fft.rfftn(values)
+    spec = np.fft.rfftn(values, out=np.empty(transfer.shape, complex))
     spec *= transfer
     for axis in (0, 1):
         np.fft.ifft(spec, axis=axis, out=spec)
-    return np.fft.irfft(spec, values.shape[2], axis=2)
+    return np.fft.irfft(spec, values.shape[2], axis=2, out=out)
 
 
 def fft_convolve(image: VoxelGrid, kernel: Kernel) -> VoxelGrid:

@@ -138,8 +138,9 @@ def load_volume(path) -> VoxelGrid:
             f"({dims[0]}x{dims[1]}x{dims[2]} of {meta['dtype']})"
         )
 
-    flat = np.frombuffer(raw, dtype=np_dtype)
-    arr = flat.reshape(dims, order="F").astype(np.float64)
+    arr = np.empty(dims)  # C order, as VoxelGrid keeps it, so it is not copied
+    arr[...] = np.frombuffer(raw, dtype=np_dtype).reshape(dims, order="F")
+    del raw
     if meta["dtype"] == "u8":
         arr /= 255.0
     elif meta["dtype"] == "u16":
@@ -147,7 +148,9 @@ def load_volume(path) -> VoxelGrid:
     if depth is not None:
         # restore exact color-set members lost to f32 rounding
         m = color_steps(depth)
-        arr = np.rint(arr * m) / m
+        arr *= m
+        np.rint(arr, out=arr)
+        arr /= m
     try:
         return VoxelGrid(arr, float(spacing), depth=depth)
     except ValueError as exc:

@@ -83,7 +83,9 @@ class VoxelGrid:
             )
         if self.depth is not None:
             m = color_steps(self.depth)
-            snapped = np.rint(vals * m) / m
+            snapped = vals * m
+            np.rint(snapped, out=snapped)
+            snapped /= m
             if not np.array_equal(snapped, vals):
                 raise ValueError(
                     f"values are not members of the depth-{self.depth} color set"

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -15,8 +17,10 @@ from minkvox import (
 )
 from minkvox import fiberorient
 from minkvox.fiberorient import CLOSED_FORM_GAP_REL, minor_projector_sum
+from minkvox.filters import fft_convolve, kernel_transfer
+from minkvox.minkowski import unit_trace
 
-from gridmakers import axis_triple_fibers, binary_laminate, random_grid
+from gridmakers import axis_triple_fibers, binary_laminate, random_grid, roll_gradient
 
 
 def test_second_kernel_is_mandatory():
@@ -241,3 +245,63 @@ def test_orientation_matches_eigh_pipeline(monkeypatch):
             ref = structure_tensor_orientation(g, None, GaussianKernel(2.0),
                                                mask_threshold_rel=threshold)
         assert np.abs(got.a_est.mat - ref.a_est.mat).max() <= 1e-12
+
+
+def _whole_grid_orientation(image, first, second, scheme):
+    """The orientation with the whole gradient, one product and one irfftn per
+    component, written out in full."""
+    g = roll_gradient(fft_convolve(image, first).values, image.spacing, scheme)
+    transfer = kernel_transfer(second, image.dims, image.spacing)
+    pairs = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
+    blurred = np.empty((6,) + image.dims)
+    for slot, (i, j) in enumerate(pairs):
+        blurred[slot] = np.fft.irfftn(np.fft.rfftn(g[..., i] * g[..., j]) * transfer,
+                                      s=image.dims, axes=(0, 1, 2))
+    trace = blurred[0] + blurred[1] + blurred[2]
+    keep = (trace >= fiberorient.DEFAULT_MASK_THRESHOLD_REL * trace.max()).ravel()
+    flat, chunk = blurred.reshape(6, -1), fiberorient._CHUNK
+    a_mat = np.zeros((3, 3))
+    for lo in range(0, keep.size, chunk):
+        a_mat += minor_projector_sum(flat[:, lo:lo + chunk][:, keep[lo:lo + chunk]])
+    return unit_trace((a_mat + a_mat.T) / 2), int(keep.sum())
+
+
+def test_slab_products_bitwise_equal_whole_grid_formula():
+    # x = 9 is not a multiple of the slab height, x = 3 is less than one slab
+    rng = np.random.default_rng(93)
+    cases = (((9, 11, 13), 0.7, BallKernel(1.2), GaussianKernel(1.45)),
+             ((9, 11, 13), 1.3, None, BallKernel(2.5)),
+             ((3, 12, 10), 1.0, None, GaussianKernel(0.45)),
+             ((3, 12, 10), 0.7, BallKernel(1.2), BallKernel(1.2)))
+    for dims, h, first, second in cases:
+        image = random_grid(rng, dims, h)
+        for scheme in ("central", "forward", "backward"):
+            got = structure_tensor_orientation(image, first, second, scheme)
+            a_ref, count = _whole_grid_orientation(image, first, second, scheme)
+            assert np.array_equal(got.a_est.mat, a_ref), (dims, first, second, scheme)
+            assert got.masked_voxels == count
+
+
+def test_orientation_memory_peak():
+    # 48 B/voxel of blurred components, then 8 each for the transfer and the
+    # spectrum or for the trace; at 64^3 the eigen-stage chunks add about 17.
+    # A whole-grid gradient and per-component temporaries reach about 108.
+    image = random_grid(np.random.default_rng(94), (64, 64, 64))
+    tracemalloc.start()
+    try:
+        structure_tensor_orientation(image, BallKernel(1.2), GaussianKernel(2.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / 64**3 <= 92, peak / 64**3
+
+
+def test_orientation_at_extreme_spacings():
+    # |g| reaches 1e20 at h = 1e-20, and the products 1e40: all still finite
+    vals = np.random.default_rng(95).random((12, 13, 14))
+    kernels = (BallKernel(1.2), GaussianKernel(1.5))
+    base = structure_tensor_orientation(VoxelGrid(vals, 1.0), *kernels).a_est.mat
+    for h in (1e-20, 1e20):
+        a = structure_tensor_orientation(VoxelGrid(vals, h), *kernels).a_est.mat
+        assert np.isfinite(a).all() and np.trace(a) == 1.0
+        assert np.abs(a - base).max() <= 1e-12, h

@@ -149,6 +149,22 @@ def test_apply_transfer_matches_irfftn():
             assert np.array_equal(transfer, before_transfer)
 
 
+def test_apply_transfer_into_its_input():
+    # out may alias values, which is not read after the forward transform
+    rng = np.random.default_rng(47)
+    for dims in ((24, 20, 22), (9, 11, 13), (3, 12, 10)):
+        values = rng.random(dims)
+        transfer = kernel_transfer(BallKernel(1.2), dims, 0.7)
+        before_values, before_transfer = values.copy(), transfer.copy()
+        ref = apply_transfer(values, transfer)
+        assert np.array_equal(values, before_values)
+        assert np.array_equal(transfer, before_transfer)
+        got = apply_transfer(values, transfer, out=values)
+        assert got is values
+        assert np.array_equal(got, ref), dims
+        assert np.array_equal(transfer, before_transfer)
+
+
 def test_convolution_preserves_constants():
     for kern in KERNELS:
         g = VoxelGrid(np.full((18, 18, 18), 0.37), spacing=1.0, depth=None)
