@@ -30,9 +30,9 @@ class _UsageError(Exception):
 
 
 # the first class an exception is an instance of gives the exit code;
-# KernelSupportError is a ValueError
-_EXIT_CODES = {_UsageError: 1, ValueError: 1, VolumeFormatError: 2, OSError: 2,
-               NumericalError: 3, DegenerateImageError: 3}
+# KernelSupportError is a ValueError; a MemoryError is a job too big for the host
+_EXIT_CODES = {_UsageError: 1, ValueError: 1, MemoryError: 1, VolumeFormatError: 2,
+               OSError: 2, NumericalError: 3, DegenerateImageError: 3}
 
 
 class _Parser(argparse.ArgumentParser):

@@ -57,8 +57,8 @@ def store_volume(grid: VoxelGrid, path, dtype: str | None = None) -> None:
         payload = vals.astype("<f4")
     else:
         top = 255 if dtype == "u8" else 65535
-        scaled = vals * top
-        rounded = np.rint(scaled)
+        rounded = vals * top
+        np.rint(rounded, out=rounded)
         if not np.array_equal(rounded / top, vals):
             raise VolumeFormatError(
                 f"gray values are not exactly representable as {dtype}; use f32"
@@ -72,7 +72,7 @@ def store_volume(grid: VoxelGrid, path, dtype: str | None = None) -> None:
         "dtype": dtype,
         "order": "x-fastest",
     }
-    Path(path).write_bytes(payload.ravel(order="F").tobytes())
+    Path(path).write_bytes(payload.tobytes(order="F"))
     _sidecar_path(path).write_text(json.dumps(sidecar, sort_keys=True) + "\n")
 
 

@@ -246,8 +246,8 @@ def voxelize(shape, dims, spacing: float, depth: int = 1) -> VoxelGrid:
     depth : int
         Gray-value depth p.  For p = 1 a voxel is solid iff its center lies
         inside the shape (boundary counts as inside).  For p > 1 the solid
-        fraction of the p^3 sub-voxel centers is computed and snapped to the
-        depth-p color set.
+        sub-voxel centers are counted under the member boxes only, and each
+        count out of p^3 is snapped to the depth-p color set by a table.
 
     Returns
     -------
@@ -278,30 +278,36 @@ def voxelize(shape, dims, spacing: float, depth: int = 1) -> VoxelGrid:
         first = np.minimum(np.fmax(np.floor(lo / spacing) - 1, 0), dims).astype(int)
         last = np.maximum(np.fmin(np.ceil(hi / spacing) + 1, dims), 0).astype(int)
         if (first < last).all():
-            boxes.append((member, first * p, last * p))
+            boxes.append((member, first, last))
 
-    frac = np.empty(dims, dtype=np.float64)
+    # solid sub-samples per voxel; outside every box the block is all False
+    counts = np.zeros(dims, dtype=np.min_scalar_type(p**3))
     # chunk along z to bound the size of the fine boolean block
     max_cells = 1 << 24
     zstep = max(1, max_cells // layer)
     for z0 in range(0, nz, zstep):
         z1 = min(z0 + zstep, nz)
         block = np.zeros((nx * p, ny * p, (z1 - z0) * p), dtype=bool)
-        for member, (x0, y0, f0), (x1, y1, f1) in boxes:
-            f0, f1 = max(f0, z0 * p), min(f1, z1 * p)
-            if f0 < f1:
-                block[x0:x1, y0:y1, f0 - z0 * p : f1 - z0 * p] |= member.contains(
-                    coords[0][x0:x1, None, None],
-                    coords[1][None, y0:y1, None],
-                    coords[2][None, None, f0:f1],
+        for member, (x0, y0, za), (x1, y1, zb) in boxes:
+            za, zb = max(za, z0), min(zb, z1)
+            if za < zb:
+                sub = np.s_[x0 * p : x1 * p, y0 * p : y1 * p, (za - z0) * p : (zb - z0) * p]
+                block[sub] |= member.contains(
+                    coords[0][sub[0], None, None],
+                    coords[1][None, sub[1], None],
+                    coords[2][None, None, za * p : zb * p],
                 )
-        frac[:, :, z0:z1] = (
-            block.reshape(nx, p, ny, p, z1 - z0, p).mean(axis=(1, 3, 5))
-        )
+                # exact for overlapping members too: the last box over a voxel
+                # counts it after every member before it is OR-ed in
+                c = block[sub].astype(counts.dtype)
+                c = sum(c[i::p] for i in range(p))
+                c = sum(c[:, i::p] for i in range(p))
+                counts[x0:x1, y0:y1, za:zb] = sum(c[:, :, i::p] for i in range(p))
+    del block
 
     m = color_steps(p)
-    vals = np.floor(frac * m + 0.5) / m
-    return VoxelGrid(vals, spacing, depth=p)
+    lut = np.floor(np.arange(p**3 + 1) / p**3 * m + 0.5) / m
+    return VoxelGrid(lut[counts], spacing, depth=p)
 
 
 def shape_in_box(shape, dims, spacing: float) -> bool:

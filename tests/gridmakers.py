@@ -87,6 +87,20 @@ def fiber_array(depth: int = 2) -> VoxelGrid:
     return voxelize(ShapeUnion(tuple(fibers)), FIBER_ARRAY_DIMS, h, depth)
 
 
+def fiber_lattice_64() -> ShapeUnion:
+    """16 slightly tilted fibers (D = 5, L = 40) on a 4 x 4 lattice in a 64^3
+    box at h = 1; they fill about 5 % of it, so most voxels lie outside every
+    fiber's bounding box."""
+    fibers = []
+    for j in range(4):
+        for k in range(4):
+            axis = np.array([1.0, 0.05 * (j - 1.5), 0.04 * (k - 1.5)])
+            fibers.append(Cylinder(center=(32.0, 16.0 * j + 8.0, 16.0 * k + 8.0),
+                                   axis=tuple(axis / np.linalg.norm(axis)),
+                                   length=40.0, diameter=5.0))
+    return ShapeUnion(tuple(fibers))
+
+
 @lru_cache(maxsize=None)
 def axis_triple_fibers(depth: int = 2) -> VoxelGrid:
     """Three orthogonal fibers of equal size, mutually disjoint."""

@@ -570,6 +570,21 @@ def test_generate_non_finite_center_exits_1(capsys, tmp_path):
         assert not out_path.exists()
 
 
+def test_generate_out_of_memory_exits_1(capsys, tmp_path, monkeypatch):
+    # stands in for a grid too large for the host, such as --dims 4096 4096
+    # 4096; a real allocation that size may succeed lazily and then be killed
+    def voxelize(*args, **kwargs):
+        raise MemoryError("Unable to allocate 512. GiB for an array")
+
+    monkeypatch.setattr("minkvox.cli.voxelize", voxelize)
+    out_path = tmp_path / "ball.raw"
+    rc, out, err = _run(capsys, "generate", "--shape", "ball", "--dims", 12, 12, 12,
+                        "--diameter", 4, "--out", out_path)
+    _assert_one_error_line(rc, out, err, 1)
+    assert "Unable to allocate" in err
+    assert not out_path.exists()
+
+
 def test_narrow_kernel_exits_1(capsys, tmp_path):
     path = _gen_ball(capsys, tmp_path)
     for kernel, sigma in (("ball", "1e-110"), ("gaussian", "1e-160"), ("gaussian", "1e-110")):

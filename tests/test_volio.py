@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from minkvox import (
 )
 from minkvox.voxelgrid import SPACING_RANGE_UM
 
-from gridmakers import displaced_ball, random_grid
+from gridmakers import displaced_ball, fiber_lattice_64, random_grid
 
 
 def test_u8_round_trip_bit_exact(tmp_path):
@@ -69,10 +70,42 @@ def test_u16_round_trip(tmp_path):
 
 def test_integer_dtype_refuses_lossy_store(tmp_path):
     g = displaced_ball(4, 2)  # values k/7: not representable in 8 or 16 bits
+    before = g.values.copy()
     with pytest.raises(VolumeFormatError):
         store_volume(g, tmp_path / "x.raw", dtype="u8")
     with pytest.raises(VolumeFormatError):
         store_volume(g, tmp_path / "x.raw", dtype="u16")
+    assert np.array_equal(g.values, before)
+    assert not (tmp_path / "x.raw").exists()
+
+
+def test_payload_bytes(tmp_path):
+    # the payload of each dtype, formed as rint(values * top) and a Fortran ravel
+    rng = np.random.default_rng(32)
+    for dtype, top, np_dtype in (("u8", 255, "<u1"), ("u16", 65535, "<u2"),
+                                 ("f32", None, "<f4")):
+        if top is None:
+            g = random_grid(rng, (5, 6, 7))
+            expected = g.values.astype(np_dtype)
+        else:
+            g = VoxelGrid(rng.integers(0, top + 1, (5, 6, 7)) / top, spacing=1.0)
+            expected = np.rint(g.values * top).astype(np_dtype)
+        f = tmp_path / f"{dtype}.raw"
+        store_volume(g, f, dtype=dtype)
+        assert f.read_bytes() == expected.ravel(order="F").tobytes(), dtype
+
+
+def test_store_memory_peak(tmp_path):
+    # the grid's scaled copy and its check quotient, 8 B/voxel each, then the
+    # payload and its bytes; a separate rint output and a raveled copy take 25
+    grid = voxelize(fiber_lattice_64(), (64, 64, 64), 1.0, 1)
+    tracemalloc.start()
+    try:
+        store_volume(grid, tmp_path / "f.raw", dtype="u8")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / 64**3 <= 20, peak / 64**3
 
 
 def test_f32_round_trip_restores_color_set(tmp_path):

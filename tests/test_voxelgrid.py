@@ -18,7 +18,7 @@ from minkvox import (
     voxelize,
 )
 
-from gridmakers import displaced_ball
+from gridmakers import displaced_ball, fiber_lattice_64
 
 
 def test_color_set_sizes():
@@ -202,6 +202,24 @@ _BITWISE_CASES = {
                     Ball((40.0, 30.0, 20.0), 9.3))),
         (69, 69, 69), 1.0, 4,
     ),
+    # p^3 = 343 solid sub-samples do not fit into one byte
+    "depth-7": (Ball((3.1, 3.4, 2.9), 2.2), (6, 6, 7), 1.0, 7),
+    # four crossing pairs whose boxes overlap; most voxels lie outside every box
+    "sparse-crossing-cylinders": (
+        ShapeUnion(tuple(
+            Cylinder((cx, cy, cz), axis, 7.0, 1.3)
+            for cx, cy, cz in ((5.0, 5.0, 5.0), (18.5, 6.0, 17.0),
+                               (6.5, 18.0, 12.0), (17.0, 17.5, 5.5))
+            for axis in ((0.8, 0.6, 0.0), (0.0, 0.6, -0.8))
+        )),
+        (24, 24, 24), 1.0, 2,
+    ),
+    # the slab's box covers the whole y and z axes; 64 x 64 at depth 4 makes
+    # z-chunks of 64 and 2 layers; the ball crosses between them and into the slab
+    "laminate-across-z-chunks": (
+        ShapeUnion((Laminate(axis=0, slabs=((10.3, 20.6),)), Ball((22.0, 40.0, 61.0), 4.5))),
+        (64, 64, 66), 1.0, 4,
+    ),
 }
 
 
@@ -211,6 +229,19 @@ def test_voxelize_bitwise_equals_brute_force(case):
     g = voxelize(shape, dims, spacing, depth)
     assert np.array_equal(g.values, _brute_force_voxelize(shape, dims, spacing, depth))
     assert 0.0 < g.mean() < 1.0
+
+
+def test_voxelize_memory_peak():
+    # output 8 B/voxel, counts 1, the fine block of one z-chunk 8; a mean over
+    # the whole fine block into a float64 fraction grid takes 33
+    shape = fiber_lattice_64()
+    tracemalloc.start()
+    try:
+        voxelize(shape, (64, 64, 64), 1.0, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / 64**3 <= 28, peak / 64**3
 
 
 def test_laminate_voxelization_binary():
