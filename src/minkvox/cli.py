@@ -243,15 +243,15 @@ _ORIENT_COLUMNS = (
 
 
 def _cmd_fiber_orient(args) -> int:
-    grid = load_volume(args.infile)
     ref = None
     if args.reference is not None:
         xx, yy, zz, xy, xz, yz = args.reference
         ref = SymTensor3(np.array([[xx, xy, xz], [xy, yy, yz], [xz, yz, zz]]))
     first = make_kernel(args.first_kernel, args.first_sigma)
     second = make_kernel(args.second_kernel, args.second_sigma)
-    result = structure_tensor_orientation(grid, first, second, scheme=args.scheme,
-                                          mask_threshold_rel=args.mask_threshold)
+    result = structure_tensor_orientation(
+        load_volume(args.infile), first, second,  # the only reference, freed once filtered
+        scheme=args.scheme, mask_threshold_rel=args.mask_threshold)
     vals, vecs = result.a_est.eigensystem()
     report = {
         "orientation_tensor": _tensor(result.a_est),

@@ -7,8 +7,8 @@ of least gray-value variation, which for fibrous structures is the local
 fiber axis.  Averaging the outer products of these eigenvectors over all
 sufficiently structured voxels and normalizing by the trace yields an
 estimate of the second-order orientation tensor A = <p p^T>.  Each x-slab's
-products g_i g_j go straight into the buffer of the six components, which are
-then blurred in place; the whole gradient is never held.
+products g_i g_j go straight into six padded field buffers, in which each
+component is then blurred with its spectrum; the whole gradient is never held.
 
 The eigen stage runs in closed form on the six tensor components, chunk by
 chunk (Kopp, "Efficient numerical diagonalization of hermitian 3x3
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateImageError
-from .filters import Kernel, fft_convolve, kernel_transfer, apply_transfer
+from .filters import Kernel, apply_transfer, fft_convolve, field_buffer, kernel_transfer
 from .gradient import stencil
 from .minkowski import _SLAB, SymTensor3, unit_trace
 from .voxelgrid import VoxelGrid
@@ -98,16 +98,19 @@ def structure_tensor_orientation(
         raise ValueError(f"mask threshold must be finite, got {mask_threshold_rel}")
 
     # values in [0, 1] and h >= 1e-20 give |g| <= 1e20: every product is finite
+    dims, spacing = image.dims, image.spacing
     f = fft_convolve(image, first_kernel).values
-    blurred = np.empty((6,) + image.dims)
+    del image  # a caller that handed its grid over frees it here
+    buf = field_buffer(dims, (6,))
+    blurred = buf[:, :f.size].reshape((6,) + dims)  # the six fields, spectra behind
     for x0 in range(0, len(f), _SLAB):
-        g = stencil(f, x0, x0 + _SLAB, image.spacing, scheme)
+        g = stencil(f, x0, x0 + _SLAB, spacing, scheme)
         for slot, (i, j) in enumerate(_PAIRS):
             np.multiply(g[i], g[j], out=blurred[slot, x0:x0 + _SLAB])
     del f
-    transfer = kernel_transfer(second_kernel, image.dims, image.spacing)
-    for slot in blurred:
-        apply_transfer(slot, transfer, out=slot)
+    transfer = kernel_transfer(second_kernel, dims, spacing)
+    for field, slot in zip(blurred, buf):
+        apply_transfer(field, transfer, slot)
     del transfer
 
     trace = blurred[0] + blurred[1]
@@ -115,7 +118,7 @@ def structure_tensor_orientation(
     if mask_threshold_rel > 0:
         mask = trace >= mask_threshold_rel * trace.max()
     else:
-        mask = np.ones(image.dims, dtype=bool)
+        mask = np.ones(dims, dtype=bool)
     count = int(mask.sum())
     if count == 0 or trace.max() <= 0:
         raise DegenerateImageError("no voxel carries structure-tensor signal")
@@ -124,10 +127,11 @@ def structure_tensor_orientation(
     keep = mask.ravel()
     a_mat = np.zeros((3, 3))
     for lo in range(0, keep.size, _CHUNK):
-        a_mat += minor_projector_sum(flat[:, lo:lo + _CHUNK][:, keep[lo:lo + _CHUNK]])
+        chunk = np.compress(keep[lo:lo + _CHUNK], flat[:, lo:lo + _CHUNK], axis=1)
+        a_mat += minor_projector_sum(chunk)
     a_mat = (a_mat + a_mat.T) / 2
     return OrientationResult(a_est=SymTensor3(unit_trace(a_mat)), masked_voxels=count,
-                             total_voxels=int(np.prod(image.dims)))
+                             total_voxels=int(np.prod(dims)))
 
 
 def minor_projector_sum(comps: np.ndarray) -> np.ndarray:
@@ -140,7 +144,7 @@ def minor_projector_sum(comps: np.ndarray) -> np.ndarray:
     tensor contributes the normalized projector onto the tied eigenspace
     instead, (I - w w^T) / 2 for a two-fold and I / 3 for a three-fold tie.
     """
-    # C order, as masked chunks arrive F-ordered; an exact power-of-two scale to a
+    # C order for callers that pass strided views; an exact power-of-two scale to a
     # largest entry in [1/2, 1) keeps the degree-4 and -5 terms below normal floats
     comps = np.ascontiguousarray(comps)
     comps = np.ldexp(comps, -np.frexp(np.abs(comps).max(axis=0))[1])

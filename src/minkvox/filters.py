@@ -7,7 +7,8 @@ radius h*sigma.  Both are sampled at the voxel centers in wrap-around layout
 is exactly one, which makes the convolution mean-preserving.  The profile is
 evaluated on the support's bounding box of offsets only.  The transfer
 function runs numpy's rfftn passes (z, then y, then x) on the rows that box
-reaches, since all-zero rows transform to exact zeros.
+reaches, since all-zero rows transform to exact zeros.  A convolution runs them
+and their inverses in one buffer whose z-rows are padded to hold the spectrum.
 """
 
 from __future__ import annotations
@@ -28,11 +29,13 @@ __all__ = [
     "support_radius",
     "sample_kernel",
     "kernel_transfer",
+    "field_buffer",
     "apply_transfer",
     "fft_convolve",
 ]
 
 GAUSSIAN_TRUNCATION_SIGMAS = 3.0
+_SLAB = 4  # x-layers per z pass; numpy copies a slab that overlaps its output
 
 
 @dataclass(frozen=True)
@@ -145,18 +148,31 @@ def kernel_transfer(kernel: Kernel, dims, spacing: float) -> np.ndarray:
     return spec
 
 
-def apply_transfer(values: np.ndarray, transfer: np.ndarray,
-                   out: np.ndarray | None = None) -> np.ndarray:
+def field_buffer(dims, lead=()) -> np.ndarray:
+    """Floats for ``lead`` fields of ``dims``, each z-row padded to hold its half spectrum."""
+    return np.empty(tuple(lead) + (dims[0] * dims[1] * 2 * (dims[2] // 2 + 1),))
+
+
+def apply_transfer(values: np.ndarray, transfer: np.ndarray, buf: np.ndarray) -> np.ndarray:
     """Periodic convolution of a raw value array with a precomputed transfer.
 
-    ``irfftn(rfftn(values) * transfer)`` through one complex spectrum, written
-    into ``out`` (new if None) and returned; ``out`` may alias ``values``.
+    ``irfftn(rfftn(values) * transfer)`` by the same numpy passes inside
+    ``buf = field_buffer(values.shape)``; returns its C-ordered front, the
+    field, which ``values`` may be.
     """
-    spec = np.fft.rfftn(values, out=np.empty(transfer.shape, complex))
+    spec = buf.view(complex).reshape(transfer.shape)
+    field = buf[:values.size].reshape(values.shape)
+    slabs = [slice(x, x + _SLAB) for x in range(0, len(values), _SLAB)]
+    for s in reversed(slabs):  # downward: spectrum slab x starts at or after field slab x
+        np.fft.rfft(values[s], axis=2, out=spec[s])
+    for axis in (1, 0):
+        np.fft.fft(spec, axis=axis, out=spec)
     spec *= transfer
     for axis in (0, 1):
         np.fft.ifft(spec, axis=axis, out=spec)
-    return np.fft.irfft(spec, values.shape[2], axis=2, out=out)
+    for s in slabs:  # upward, so that no unread spectrum is overwritten
+        np.fft.irfft(spec[s], values.shape[2], axis=2, out=field[s])
+    return field
 
 
 def fft_convolve(image: VoxelGrid, kernel: Kernel) -> VoxelGrid:
@@ -170,7 +186,7 @@ def fft_convolve(image: VoxelGrid, kernel: Kernel) -> VoxelGrid:
     if kernel is None:
         return image
     transfer = kernel_transfer(kernel, image.dims, image.spacing)
-    out = apply_transfer(image.values, transfer)
+    out = apply_transfer(image.values, transfer, field_buffer(image.dims))
     lo, hi = float(out.min()), float(out.max())
     if lo < -1e-6 or hi > 1 + 1e-6:
         raise NumericalError(

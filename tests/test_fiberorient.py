@@ -1,4 +1,5 @@
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -283,9 +284,11 @@ def test_slab_products_bitwise_equal_whole_grid_formula():
 
 
 def test_orientation_memory_peak():
-    # 48 B/voxel of blurred components, then 8 each for the transfer and the
-    # spectrum or for the trace; at 64^3 the eigen-stage chunks add about 17.
-    # A whole-grid gradient and per-component temporaries reach about 108.
+    # the caller's image (8 B/voxel) and six components padded for their
+    # spectra (6 x 8.25), then 8.25 for the transfer or 9 for the trace and
+    # mask; at 64^3 the eigen-stage chunks add about 20 (peak 79.6, 78.1 with
+    # unpadded components and a separate spectrum).  A whole-grid gradient and
+    # per-component temporaries reach about 108.
     image = random_grid(np.random.default_rng(94), (64, 64, 64))
     tracemalloc.start()
     try:
@@ -294,6 +297,35 @@ def test_orientation_memory_peak():
     finally:
         tracemalloc.stop()
     assert peak / 64**3 <= 92, peak / 64**3
+
+
+def _handed_over_grid(refs):
+    """A fresh grid that only the caller's call expression holds; ``refs``
+    receives weak references to it and to its values."""
+    image = random_grid(np.random.default_rng(95), (16, 12, 14))
+    refs += [weakref.ref(image), weakref.ref(image.values)]
+    return image
+
+
+def test_orientation_frees_a_handed_over_grid(monkeypatch):
+    # kernel_transfer runs after the products; by then the grid must be gone
+    refs = []
+    transfer = fiberorient.kernel_transfer
+
+    def after_products(*args):
+        assert [ref() is None for ref in refs] == [True, True]
+        return transfer(*args)
+
+    for first in (None, BallKernel(1.2)):
+        expected = structure_tensor_orientation(_handed_over_grid([]), first,
+                                                GaussianKernel(1.5))
+        refs.clear()
+        with monkeypatch.context() as m:
+            m.setattr(fiberorient, "kernel_transfer", after_products)
+            got = structure_tensor_orientation(_handed_over_grid(refs), first,
+                                               GaussianKernel(1.5))
+        assert np.array_equal(got.a_est.mat, expected.a_est.mat), first
+        assert got.masked_voxels == expected.masked_voxels
 
 
 def test_orientation_at_extreme_spacings():

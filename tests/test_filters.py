@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -12,10 +14,16 @@ from minkvox import (
     sample_kernel,
     shift,
     support_radius,
+    voxelize,
 )
-from minkvox.filters import GAUSSIAN_TRUNCATION_SIGMAS, apply_transfer, kernel_transfer
+from minkvox.filters import (
+    GAUSSIAN_TRUNCATION_SIGMAS,
+    apply_transfer,
+    field_buffer,
+    kernel_transfer,
+)
 
-from gridmakers import binary_laminate, random_grid
+from gridmakers import binary_laminate, fiber_lattice_64, random_grid
 
 KERNELS = (GaussianKernel(1.2), GaussianKernel(2.0), BallKernel(1.2),
            BallKernel(2.5))
@@ -133,36 +141,59 @@ def test_kernel_transfer_matches_whole_grid_rfftn():
                 assert np.array_equal(transfer, ref), (kern, dims, h)
 
 
+def _irfftn_reference(values, transfer):
+    return np.fft.irfftn(np.fft.rfftn(values) * transfer, s=values.shape, axes=(0, 1, 2))
+
+
+# odd nz, and x not a multiple of the 4-layer z-pass slab or below it
+_TRANSFER_DIMS = ((24, 20, 22), (9, 11, 13), (17, 9, 31), (10, 16, 7), (3, 12, 10))
+
+
 def test_apply_transfer_matches_irfftn():
-    # the inverse runs in place on one spectrum; inputs stay untouched
+    # a separate input: the field lands in the buffer's front, inputs untouched
     rng = np.random.default_rng(46)
-    for dims in ((24, 20, 22), (9, 11, 13)):
+    for dims in _TRANSFER_DIMS:
         values = rng.random(dims)
-        for kern in (BallKernel(1.2), GaussianKernel(1.45)):
+        for kern in (BallKernel(1.2), GaussianKernel(1.45 if min(dims) > 8 else 0.45)):
             transfer = kernel_transfer(kern, dims, 0.7)
             before_values, before_transfer = values.copy(), transfer.copy()
-            out = apply_transfer(values, transfer)
-            ref = np.fft.irfftn(np.fft.rfftn(values) * transfer, s=values.shape,
-                                axes=(0, 1, 2))
-            assert np.array_equal(out, ref), (dims, kern)
+            buf = field_buffer(dims)
+            out = apply_transfer(values, transfer, buf)
+            assert np.array_equal(out, _irfftn_reference(values, transfer)), (dims, kern)
+            assert out.shape == dims and out.flags.c_contiguous
+            assert np.shares_memory(out, buf)
             assert np.array_equal(values, before_values)
             assert np.array_equal(transfer, before_transfer)
 
 
 def test_apply_transfer_into_its_input():
-    # out may alias values, which is not read after the forward transform
+    # values is the buffer's own field; its spectrum overwrites it slab by slab
     rng = np.random.default_rng(47)
-    for dims in ((24, 20, 22), (9, 11, 13), (3, 12, 10)):
+    for dims in _TRANSFER_DIMS:
         values = rng.random(dims)
         transfer = kernel_transfer(BallKernel(1.2), dims, 0.7)
-        before_values, before_transfer = values.copy(), transfer.copy()
-        ref = apply_transfer(values, transfer)
-        assert np.array_equal(values, before_values)
+        before_transfer = transfer.copy()
+        bufs = field_buffer(dims, (2,))
+        field = bufs[1, :values.size].reshape(dims)
+        field[...] = values
+        got = apply_transfer(field, transfer, bufs[1])
+        assert np.shares_memory(got, field) and got.flags.c_contiguous
+        assert np.array_equal(got, _irfftn_reference(values, transfer)), dims
         assert np.array_equal(transfer, before_transfer)
-        got = apply_transfer(values, transfer, out=values)
-        assert got is values
-        assert np.array_equal(got, ref), dims
-        assert np.array_equal(transfer, before_transfer)
+
+
+def test_fft_convolve_memory_peak():
+    # the transfer and the padded buffer, 8 (nz + 2) / nz = 8.25 B/voxel each
+    # at nz = 64, and the slab copies; a separate spectrum adds 8.25 more
+    grid = voxelize(fiber_lattice_64(), (64, 64, 64), 1.0, 2)
+    for kern in (BallKernel(1.2), GaussianKernel(1.2)):
+        tracemalloc.start()
+        try:
+            fft_convolve(grid, kern)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / 64**3 <= 20, (kern, peak / 64**3)
 
 
 def test_convolution_preserves_constants():
