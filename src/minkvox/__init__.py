@@ -15,13 +15,10 @@ from .voxelgrid import (
     VoxelGrid,
     color_set,
     color_steps,
-    cube_symmetries,
-    quantize,
     shape_in_box,
-    shift,
     voxelize,
 )
-from .gradient import SCHEMES, VectorField, gradient, unit_normals
+from .gradient import SCHEMES
 from .filters import (
     BallKernel,
     GaussianKernel,

@@ -99,7 +99,7 @@ def structure_tensor_orientation(
 
     # values in [0, 1] and h >= 1e-20 give |g| <= 1e20: every product is finite
     dims, spacing = image.dims, image.spacing
-    f = fft_convolve(image, first_kernel).values
+    f = fft_convolve(image, first_kernel)
     del image  # a caller that handed its grid over frees it here
     buf = field_buffer(dims, (6,))
     blurred = buf[:, :f.size].reshape((6,) + dims)  # the six fields, spectra behind

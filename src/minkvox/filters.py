@@ -175,16 +175,16 @@ def apply_transfer(values: np.ndarray, transfer: np.ndarray, buf: np.ndarray) ->
     return field
 
 
-def fft_convolve(image: VoxelGrid, kernel: Kernel) -> VoxelGrid:
+def fft_convolve(image: VoxelGrid, kernel: Kernel) -> np.ndarray:
     """Convolve a gray-value image with a kernel, treating the grid as periodic.
 
-    Returns the image unchanged for ``kernel=None``.  The output is clipped
-    to [0, 1] to absorb FFT round-off; values outside [-1e-6, 1 + 1e-6]
-    indicate a normalization bug and raise NumericalError.  The result is
-    marked as continuous regardless of the input depth.
+    Returns the field, the front of its padded buffer, or ``image.values``
+    for ``kernel=None``.  The output is clipped to [0, 1] to absorb FFT
+    round-off; values outside [-1e-6, 1 + 1e-6] indicate a normalization bug
+    and raise NumericalError.
     """
     if kernel is None:
-        return image
+        return image.values
     transfer = kernel_transfer(kernel, image.dims, image.spacing)
     out = apply_transfer(image.values, transfer, field_buffer(image.dims))
     lo, hi = float(out.min()), float(out.max())
@@ -193,4 +193,4 @@ def fft_convolve(image: VoxelGrid, kernel: Kernel) -> VoxelGrid:
             f"convolution output range [{lo}, {hi}] exceeds [0, 1] beyond round-off"
         )
     np.clip(out, 0.0, 1.0, out=out)
-    return VoxelGrid(out, image.spacing, depth=None)
+    return out

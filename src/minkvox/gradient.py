@@ -1,4 +1,4 @@
-"""Finite-difference gradient fields on periodic grids."""
+"""Periodic finite-difference stencil over x-slabs of a gray-value field."""
 
 from __future__ import annotations
 
@@ -6,9 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .voxelgrid import VoxelGrid
-
-__all__ = ["SCHEMES", "VectorField", "gradient", "stencil", "unit_normals"]
+__all__ = ["SCHEMES", "stencil"]
 
 SCHEMES = ("central", "forward", "backward")
 # per scheme: f(x + up) - f(x + down) over div * h, offsets in voxels along the axis
@@ -16,7 +14,7 @@ _STENCILS = {"central": (1, -1, 2), "forward": (1, 0, 1), "backward": (0, -1, 1)
 
 
 @dataclass(frozen=True)
-class VectorField:
+class VectorField:  # kept only because perfbench/tracer.py imports it to patch norms
     """Per-voxel 3-vectors on the same periodic lattice as a VoxelGrid."""
 
     data: np.ndarray  # (nx, ny, nz, 3)
@@ -41,30 +39,19 @@ class VectorField:
         return np.sqrt(np.einsum("...i,...i->...", self.data, self.data))
 
 
-def gradient(image: VoxelGrid, scheme: str = "central") -> VectorField:
-    """Periodic finite-difference gradient of a gray-value image.
-
-    ``central`` uses (f(x + h e_i) - f(x - h e_i)) / 2h, ``forward`` and
-    ``backward`` the corresponding one-sided differences.  All stencils wrap
-    around the periodic boundary.
-    """
-    out = np.empty(image.dims + (3,))
-    stencil(image.values, 0, image.dims[0], image.spacing, scheme, out=np.moveaxis(out, -1, 0))
-    return VectorField(out, image.spacing, scheme)
-
-
-def stencil(f: np.ndarray, x0: int, x1: int, h: float, scheme: str,
-            out: np.ndarray | None = None) -> np.ndarray:
+def stencil(f: np.ndarray, x0: int, x1: int, h: float, scheme: str) -> np.ndarray:
     """Gradient, shape (3, x1 - x0, ny, nz), of x-layers x0:x1 of the periodic array f.
 
-    Neighbors across the boundary are read by slicing f in place, bitwise as
-    the difference of np.roll copies; see gradient for the schemes.
+    ``central`` uses (f(x + h e_i) - f(x - h e_i)) / 2h, ``forward`` and
+    ``backward`` the corresponding one-sided differences.  Neighbors across
+    the boundary are read by slicing f in place, bitwise as the difference of
+    np.roll copies.
     """
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}, expected one of {SCHEMES}")
     up, down, div = _STENCILS[scheme]
     slab = f[x0:x1]
-    out = np.empty((3,) + slab.shape) if out is None else out
+    out = np.empty((3,) + slab.shape)
     for axis, (src, lo) in enumerate(((f, x0), (slab, 0), (slab, 0))):
         src, dst = np.moveaxis(src, axis, 0), np.moveaxis(out[axis], axis, 0)  # axis first
         n, hi = len(src), lo + len(dst)
@@ -74,12 +61,3 @@ def stencil(f: np.ndarray, x0: int, x1: int, h: float, scheme: str,
             np.subtract(src[i:i + b - a], src[j:j + b - a], out=dst[a - lo:b - lo])
         out[axis] /= div * h
     return out
-
-
-def unit_normals(field: VectorField) -> VectorField:
-    """Outward unit normals n = -g / |g|; zero where the gradient vanishes."""
-    norms = field.norms()
-    safe = np.where(norms > 0.0, norms, 1.0)
-    data = -field.data / safe[..., None]
-    data[norms == 0.0] = 0.0
-    return VectorField(data, field.spacing, field.scheme)

@@ -91,17 +91,6 @@ class SymTensor3:
                 vecs[:, k] = -vecs[:, k]
         return vals, vecs
 
-    def __add__(self, other: "SymTensor3") -> "SymTensor3":
-        return SymTensor3(self.mat + other.mat)
-
-    def __sub__(self, other: "SymTensor3") -> "SymTensor3":
-        return SymTensor3(self.mat - other.mat)
-
-    def __mul__(self, scalar: float) -> "SymTensor3":
-        return SymTensor3(self.mat * scalar)
-
-    __rmul__ = __mul__
-
 
 def estimate_volume(image: VoxelGrid) -> float:
     """Volume estimate from the raw (unfiltered) gray values."""
@@ -120,7 +109,7 @@ def estimate_surface_and_tensor(
     """
     if not 0 <= eps_rel < np.inf:
         raise ValueError(f"eps_rel must be non-negative and finite, got {eps_rel}")
-    f, h = fft_convolve(image, kernel).values, image.spacing
+    f, h = fft_convolve(image, kernel), image.spacing
     starts = range(0, f.shape[0], _SLAB)
 
     def slab(x0):

@@ -1,9 +1,12 @@
-"""Shared image builders for the test suite.
+"""Shared image builders and lattice tools for the test suite.
 
 Expensive voxelizations are cached so the property tests and the acceptance
-tests can reuse the same grids.  All builders are deterministic.
+tests can reuse the same grids.  All builders are deterministic.  The
+quantization, periodic shifts and cube symmetries are what the invariance and
+equivariance tests apply to the grids.
 """
 
+import itertools
 from functools import lru_cache
 
 import numpy as np
@@ -13,7 +16,7 @@ from minkvox import (
     Cylinder,
     ShapeUnion,
     VoxelGrid,
-    quantize,
+    color_steps,
     voxelize,
 )
 
@@ -136,3 +139,47 @@ def roll_gradient(vals: np.ndarray, h: float, scheme: str) -> np.ndarray:
         else:
             out[..., i] = (vals - down) / h
     return out
+
+
+def quantize(grid: VoxelGrid, depth: int) -> VoxelGrid:
+    """Snap each gray value to the nearest member of the depth-p color set.
+
+    Ties round toward the larger value.  Idempotent for matching depth.
+    """
+    m = color_steps(depth)
+    vals = np.floor(grid.values * m + 0.5) / m
+    return VoxelGrid(vals, grid.spacing, depth=depth)
+
+
+def shift(grid: VoxelGrid, offset) -> VoxelGrid:
+    """Translate the image periodically by a whole number of voxels per axis."""
+    off = tuple(int(o) for o in offset)
+    if len(off) != 3:
+        raise ValueError(f"offset must have three components, got {offset}")
+    vals = np.roll(grid.values, off, axis=(0, 1, 2))
+    return VoxelGrid(vals, grid.spacing, grid.depth)
+
+
+# ---------------------------------------------------------------------------
+# lattice symmetries
+
+def cube_symmetries():
+    """All 48 axis-aligned symmetries of a cubic grid.
+
+    Yields pairs ``(R, apply)`` where ``R`` is the orthogonal 3x3 matrix and
+    ``apply`` maps a cubic value array onto its transformed copy.  The pair is
+    consistent in the sense that voxel-center coordinates relative to the box
+    center transform with ``R`` when the array is transformed with ``apply``.
+    """
+    for perm in itertools.permutations(range(3)):
+        for flips in itertools.product((False, True), repeat=3):
+            mat = np.zeros((3, 3))
+            for k in range(3):
+                mat[k, perm[k]] = -1.0 if flips[k] else 1.0
+
+            def apply(arr, perm=perm, flips=flips):
+                out = np.transpose(arr, perm + tuple(range(3, arr.ndim)))
+                ax = tuple(i for i, f in enumerate(flips) if f)
+                return np.flip(out, axis=ax).copy() if ax else out.copy()
+
+            yield mat, apply

@@ -10,10 +10,7 @@ from minkvox import (
     GaussianKernel,
     SymTensor3,
     VoxelGrid,
-    cube_symmetries,
-    quantize,
     relative_tensor_error,
-    shift,
     structure_tensor_orientation,
 )
 from minkvox import fiberorient
@@ -21,7 +18,15 @@ from minkvox.fiberorient import CLOSED_FORM_GAP_REL, minor_projector_sum
 from minkvox.filters import fft_convolve, kernel_transfer
 from minkvox.minkowski import unit_trace
 
-from gridmakers import axis_triple_fibers, binary_laminate, random_grid, roll_gradient
+from gridmakers import (
+    axis_triple_fibers,
+    binary_laminate,
+    cube_symmetries,
+    quantize,
+    random_grid,
+    roll_gradient,
+    shift,
+)
 
 
 def test_second_kernel_is_mandatory():
@@ -251,7 +256,7 @@ def test_orientation_matches_eigh_pipeline(monkeypatch):
 def _whole_grid_orientation(image, first, second, scheme):
     """The orientation with the whole gradient, one product and one irfftn per
     component, written out in full."""
-    g = roll_gradient(fft_convolve(image, first).values, image.spacing, scheme)
+    g = roll_gradient(fft_convolve(image, first), image.spacing, scheme)
     transfer = kernel_transfer(second, image.dims, image.spacing)
     pairs = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
     blurred = np.empty((6,) + image.dims)

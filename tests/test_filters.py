@@ -8,11 +8,9 @@ from minkvox import (
     GaussianKernel,
     KernelSupportError,
     VoxelGrid,
-    cube_symmetries,
     fft_convolve,
     kernel_name,
     sample_kernel,
-    shift,
     support_radius,
     voxelize,
 )
@@ -23,7 +21,7 @@ from minkvox.filters import (
     kernel_transfer,
 )
 
-from gridmakers import binary_laminate, fiber_lattice_64, random_grid
+from gridmakers import binary_laminate, cube_symmetries, fiber_lattice_64, random_grid, shift
 
 KERNELS = (GaussianKernel(1.2), GaussianKernel(2.0), BallKernel(1.2),
            BallKernel(2.5))
@@ -200,16 +198,15 @@ def test_convolution_preserves_constants():
     for kern in KERNELS:
         g = VoxelGrid(np.full((18, 18, 18), 0.37), spacing=1.0, depth=None)
         out = fft_convolve(g, kern)
-        assert np.max(np.abs(out.values - 0.37)) <= 1e-12, kern
-        assert out.depth is None
+        assert np.max(np.abs(out - 0.37)) <= 1e-12, kern
 
 
 def test_convolution_none_is_identity():
     rng = np.random.default_rng(3)
     g = random_grid(rng, (10, 11, 12), depth=2)
     out = fft_convolve(g, None)
-    assert np.array_equal(out.values, g.values)
-    assert out.depth == g.depth
+    assert out is g.values
+    assert np.array_equal(out, g.values)
 
 
 def test_convolution_preserves_mean():
@@ -228,16 +225,16 @@ def test_convolution_commutes_with_shifts():
         for _ in range(3):
             d = tuple(int(v) for v in rng.integers(-8, 9, size=3))
             a = fft_convolve(shift(g, d), kern)
-            b = shift(fft_convolve(g, kern), d)
-            assert np.max(np.abs(a.values - b.values)) <= 1e-12, (kern, d)
+            b = np.roll(fft_convolve(g, kern), d, axis=(0, 1, 2))
+            assert np.max(np.abs(a - b)) <= 1e-12, (kern, d)
 
 
 def test_convolution_output_stays_in_unit_interval():
     g = binary_laminate()
     for kern in KERNELS:
         out = fft_convolve(g, kern)
-        assert out.values.min() >= 0.0
-        assert out.values.max() <= 1.0
+        assert out.min() >= 0.0
+        assert out.max() <= 1.0
 
 
 def test_ball_filter_laminate_profile_is_linear_ramp():
@@ -246,8 +243,8 @@ def test_ball_filter_laminate_profile_is_linear_ramp():
     sigma = 2.5
     g = binary_laminate(axis=0, n=24, lo=6, hi=14)
     out = fft_convolve(g, BallKernel(sigma))
-    profile = out.values[:, 0, 0]
-    assert np.max(np.abs(out.values - profile[:, None, None])) <= 1e-12
+    profile = out[:, 0, 0]
+    assert np.max(np.abs(out - profile[:, None, None])) <= 1e-12
 
     diffs = np.diff(profile)
     rising = diffs[np.abs(diffs) > 1e-9]

@@ -11,14 +11,11 @@ from minkvox import (
     VoxelGrid,
     color_set,
     color_steps,
-    cube_symmetries,
-    quantize,
     shape_in_box,
-    shift,
     voxelize,
 )
 
-from gridmakers import displaced_ball, fiber_lattice_64
+from gridmakers import cube_symmetries, displaced_ball, fiber_lattice_64, quantize, shift
 
 
 def test_color_set_sizes():
