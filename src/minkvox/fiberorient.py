@@ -32,8 +32,8 @@ import numpy as np
 
 from .errors import DegenerateImageError
 from .filters import Kernel, apply_transfer, fft_convolve, field_buffer, kernel_transfer
-from .gradient import stencil
-from .minkowski import _SLAB, SymTensor3, unit_trace
+from .gradient import SLAB, stencil
+from .minkowski import SymTensor3, unit_trace
 from .voxelgrid import VoxelGrid
 
 __all__ = ["OrientationResult", "structure_tensor_orientation"]
@@ -103,10 +103,10 @@ def structure_tensor_orientation(
     del image  # a caller that handed its grid over frees it here
     buf = field_buffer(dims, (6,))
     blurred = buf[:, :f.size].reshape((6,) + dims)  # the six fields, spectra behind
-    for x0 in range(0, len(f), _SLAB):
-        g = stencil(f, x0, x0 + _SLAB, spacing, scheme)
+    for x0 in range(0, len(f), SLAB):
+        g = stencil(f, x0, x0 + SLAB, spacing, scheme)
         for slot, (i, j) in enumerate(_PAIRS):
-            np.multiply(g[i], g[j], out=blurred[slot, x0:x0 + _SLAB])
+            np.multiply(g[i], g[j], out=blurred[slot, x0:x0 + SLAB])
     del f
     transfer = kernel_transfer(second_kernel, dims, spacing)
     for field, slot in zip(blurred, buf):

@@ -6,9 +6,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["SCHEMES", "stencil"]
+__all__ = ["SCHEMES", "SLAB", "stencil"]
 
 SCHEMES = ("central", "forward", "backward")
+SLAB = 4  # x-layers per stencil call in minkowski and fiberorient; bounds temporaries
 # per scheme: f(x + up) - f(x + down) over div * h, offsets in voxels along the axis
 _STENCILS = {"central": (1, -1, 2), "forward": (1, 0, 1), "backward": (0, -1, 1)}
 

@@ -14,8 +14,8 @@ zero gradient are skipped.  The quadratic normal tensor is W normalized to
 unit trace.
 
 S and W are sums of per-voxel terms (Svane, Image Anal. Stereol. 34, 2015),
-taken over x-slabs of _SLAB layers in two passes, |g| first and then the outer
-products of the nonzero gradients; no whole-grid gradient is ever held.
+taken over x-slabs of gradient.SLAB layers in two passes, |g| first and then
+the outer products of the nonzero gradients; no whole-grid gradient is held.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import DegenerateImageError
 from .filters import Kernel, fft_convolve
-from .gradient import stencil
+from .gradient import SLAB, stencil
 from .voxelgrid import VoxelGrid
 
 __all__ = [
@@ -42,7 +42,6 @@ __all__ = [
 ]
 
 DEFAULT_EPS_REL = 1e-12
-_SLAB = 4  # x-layers per slab of the S/W sums; bounds the per-slab temporaries
 
 
 @dataclass(frozen=True)
@@ -110,10 +109,10 @@ def estimate_surface_and_tensor(
     if not 0 <= eps_rel < np.inf:
         raise ValueError(f"eps_rel must be non-negative and finite, got {eps_rel}")
     f, h = fft_convolve(image, kernel), image.spacing
-    starts = range(0, f.shape[0], _SLAB)
+    starts = range(0, f.shape[0], SLAB)
 
     def slab(x0):
-        g = stencil(f, x0, min(x0 + _SLAB, f.shape[0]), h, scheme).reshape(3, -1)
+        g = stencil(f, x0, min(x0 + SLAB, f.shape[0]), h, scheme).reshape(3, -1)
         return g, np.sqrt(np.einsum("ij,ij->j", g, g))
 
     sums = [(float(norms.sum()), float(norms.max())) for _, norms in map(slab, starts)]

@@ -11,8 +11,8 @@ A volume at ``path`` consists of two files:
 
 Integer payloads map linearly onto [0, 1] by value / (2^bits - 1); they are
 bit-exact under store/load round trips.  f32 payloads are rounded to single
-precision; grids with an integer depth are re-snapped to their color set on
-load, which restores the exact gray values.
+precision.  A depth-p payload must hold colors of the depth-p set or, in f32,
+their float32 images, which load as the colors; other values are format errors.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import VolumeFormatError
-from .voxelgrid import SPACING_RANGE_UM, VoxelGrid, color_steps
+from .voxelgrid import VoxelGrid, check_spacing
 
 __all__ = ["load_volume", "store_volume"]
 
@@ -116,14 +116,12 @@ def load_volume(path) -> VoxelGrid:
     elif not isinstance(depth, int) or isinstance(depth, bool) or depth < 1:
         raise VolumeFormatError(f"invalid depth {depth!r} (key 'depth')")
     spacing = meta["spacing_um"]
-    lo, hi = SPACING_RANGE_UM
     try:
-        # a string, list or None is a TypeError; ints compare exactly, NaN never
-        valid = not isinstance(spacing, bool) and lo <= spacing <= hi
-    except TypeError:
-        valid = False
-    if not valid:
-        raise VolumeFormatError(f"invalid spacing {spacing!r} (key 'spacing_um')")
+        # JSON true is no spacing, as for depth; a string, list or None is a
+        # TypeError, ints compare exactly and NaN never
+        check_spacing(None if isinstance(spacing, bool) else spacing)
+    except (TypeError, ValueError) as exc:
+        raise VolumeFormatError(f"invalid spacing {spacing!r} (key 'spacing_um')") from exc
 
     np_dtype = _DTYPES[meta["dtype"]]
     # exact integer product: an int64 one wraps to 0 for dims of 2^40
@@ -145,12 +143,6 @@ def load_volume(path) -> VoxelGrid:
         arr /= 255.0
     elif meta["dtype"] == "u16":
         arr /= 65535.0
-    if depth is not None:
-        # restore exact color-set members lost to f32 rounding
-        m = color_steps(depth)
-        arr *= m
-        np.rint(arr, out=arr)
-        arr /= m
     try:
         return VoxelGrid(arr, float(spacing), depth=depth)
     except ValueError as exc:

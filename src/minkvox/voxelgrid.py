@@ -17,6 +17,7 @@ __all__ = [
     "shape_in_box",
     "voxelize",
     "check_cylinder",
+    "check_spacing",
     "SPACING_RANGE_UM",
 ]
 
@@ -25,7 +26,8 @@ __all__ = [
 SPACING_RANGE_UM = (1e-20, 1e20)
 
 
-def _check_spacing(spacing: float) -> None:
+def check_spacing(spacing: float) -> None:
+    """Raise ValueError unless ``SPACING_RANGE_UM`` holds the spacing (NaN never)."""
     lo, hi = SPACING_RANGE_UM
     if not lo <= spacing <= hi:
         raise ValueError(f"spacing must lie in [{lo:g}, {hi:g}] um, got {spacing}")
@@ -56,8 +58,9 @@ class VoxelGrid:
 
     ``depth=None`` marks a continuous gray-value range in [0, 1]; ``depth=p``
     restricts the values to the discrete color set of depth p, i.e. {0, 1}
-    for p = 1 and multiples of 1/(p^3 - 1) otherwise.  The value array is
-    frozen after construction, so grids can be shared freely.
+    for p = 1 and multiples of 1/(p^3 - 1) otherwise.  A color's float32
+    image, as an f32 payload holds it, is accepted and stored as the color.
+    The value array is frozen after construction, so grids can be shared freely.
     """
 
     values: np.ndarray
@@ -70,7 +73,7 @@ class VoxelGrid:
             raise ValueError(f"expected a 3D value array, got ndim={vals.ndim}")
         if min(vals.shape) < 2:
             raise ValueError(f"grid dims must all be >= 2, got {vals.shape}")
-        _check_spacing(self.spacing)
+        check_spacing(self.spacing)
         # negated so that NaN, which fails every comparison, is rejected too
         if not (vals.min() >= 0.0 and vals.max() <= 1.0):
             raise ValueError(
@@ -82,10 +85,15 @@ class VoxelGrid:
             snapped = vals * m
             np.rint(snapped, out=snapped)
             snapped /= m
-            if not np.array_equal(snapped, vals):
-                raise ValueError(
-                    f"values are not members of the depth-{self.depth} color set"
-                )
+            # a value off its color must be the color's float32 image; compare
+            # those only, an x-layer at a time to bound the temporaries
+            for s, v, off in zip(snapped, vals, snapped != vals):
+                i = np.flatnonzero(off)
+                if not np.array_equal(s.take(i).astype(np.float32), v.take(i)):
+                    raise ValueError(
+                        f"values are not members of the depth-{self.depth} color set"
+                    )
+            vals = snapped
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
@@ -255,9 +263,8 @@ def voxelize(shape, dims, spacing: float, depth: int = 1) -> VoxelGrid:
     dims = tuple(int(n) for n in dims)
     if len(dims) != 3 or min(dims) < 2:
         raise ValueError(f"dims must be three integers >= 2, got {dims}")
-    _check_spacing(spacing)
-    if depth < 1:
-        raise ValueError(f"depth must be >= 1, got {depth}")
+    check_spacing(spacing)
+    m = color_steps(depth)
 
     p = depth
     nx, ny, nz = dims
@@ -301,7 +308,6 @@ def voxelize(shape, dims, spacing: float, depth: int = 1) -> VoxelGrid:
                 counts[x0:x1, y0:y1, za:zb] = sum(c[:, :, i::p] for i in range(p))
     del block
 
-    m = color_steps(p)
     lut = np.floor(np.arange(p**3 + 1) / p**3 * m + 0.5) / m
     return VoxelGrid(lut[counts], spacing, depth=p)
 

@@ -513,6 +513,24 @@ def test_spacing_outside_range_exits_2(capsys, tmp_path):
         assert np.allclose(report["qnt"], unit["qnt"], rtol=0, atol=1e-14)
 
 
+def test_off_color_payload_exits_2(capsys, tmp_path):
+    # a value that is neither a color nor its float32 image is a format error,
+    # not a grid silently rewritten to the nearest color
+    commands = (["analyze"], ["fiber-orient", "--second-kernel", "gaussian",
+                              "--second-sigma", 1])
+    path = tmp_path / "off.raw"
+    for depth, dtype, payload in ((1, "u8", np.full(64, 128, "<u1")),
+                                  (2, "f32", np.full(64, 0.5, "<f4"))):
+        payload.tofile(path)
+        (tmp_path / "off.raw.json").write_text(json.dumps({
+            "dims": [4, 4, 4], "spacing_um": 1.0, "depth": depth,
+            "dtype": dtype, "order": "x-fastest"}))
+        for args in commands:
+            rc, out, err = _run(capsys, *args, "--in", path)
+            _assert_one_error_line(rc, out, err, 2)
+            assert f"depth-{depth} color set" in err, (dtype, args)
+
+
 def test_generate_spacing_outside_range_exits_1(capsys, tmp_path):
     out_path = tmp_path / "lam.raw"
     for spacing in ("inf", "1e110", "1e-110", "1e21"):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from minkvox import minkowski
+from minkvox.gradient import SLAB
 from minkvox import (
     Ball,
     BallKernel,
@@ -138,7 +139,7 @@ def test_zero_field_gives_zero_tensor():
     w = estimate_surface_and_tensor(g, None, "central")[1]
     assert np.all(w.mat == 0.0)
     # any constant image, over one or several slabs, in every scheme
-    for nx in (2, 3 * minkowski._SLAB + 1):
+    for nx in (2, 3 * SLAB + 1):
         g = VoxelGrid(np.full((nx, 5, 6), 0.3), spacing=0.7, depth=None)
         for scheme in ("central", "forward", "backward"):
             s, w = estimate_surface_and_tensor(g, None, scheme)
@@ -165,7 +166,7 @@ def _whole_grid_sums(vals, h, scheme, eps_rel):
 
 
 def test_slab_sums_match_whole_grid_reference():
-    slab = minkowski._SLAB
+    slab = SLAB
     rng = np.random.default_rng(62)
     # nx = 2 (both x-neighbors are one layer), below one slab, one slab,
     # not a multiple of the slab height, several slabs

@@ -8,6 +8,7 @@ from minkvox import (
     Ball,
     VolumeFormatError,
     VoxelGrid,
+    color_set,
     load_volume,
     store_volume,
     voxelize,
@@ -109,14 +110,50 @@ def test_store_memory_peak(tmp_path):
 
 
 def test_f32_round_trip_restores_color_set(tmp_path):
-    # 1/7 is not an f32 number, but the loader snaps depth-p grids back
-    g = displaced_ball(4, 2)
+    # 1/7 is not an f32 number, but the grid stores a color's float32 image as
+    # the color; auto dtype is f32 for p > 1
     f = tmp_path / "b.raw"
-    store_volume(g, f)  # auto dtype: f32 for p > 1
-    back = load_volume(f)
-    assert np.array_equal(back.values, g.values)
-    assert back.depth == 2
-    assert json.loads((tmp_path / "b.raw.json").read_text())["dtype"] == "f32"
+    for depth, dtype in ((2, None), (1, "f32"), (3, None), (4, None)):
+        g = displaced_ball(4, depth)
+        store_volume(g, f, dtype=dtype)
+        back = load_volume(f)
+        assert np.array_equal(back.values, g.values), depth
+        assert back.depth == depth
+        assert json.loads((tmp_path / "b.raw.json").read_text())["dtype"] == "f32"
+
+
+def test_value_one_ulp_off_color_image_rejected(tmp_path):
+    # the grid and the loader alike: the loader used to snap it to the color
+    f = tmp_path / "u.raw"
+    for depth in (1, 2, 3, 4):
+        (tmp_path / "u.raw.json").write_text(json.dumps({
+            "dims": [2, 2, 2], "spacing_um": 1.0, "depth": depth,
+            "dtype": "f32", "order": "x-fastest"}))
+        for image in color_set(depth).astype(np.float32):
+            for toward in (0.0, 1.0):
+                off = np.nextafter(image, np.float32(toward))
+                if off == image:  # no float32 below 0 or above 1 in [0, 1]
+                    continue
+                payload = np.zeros(8, dtype="<f4")
+                payload[5] = off
+                with pytest.raises(ValueError, match=f"depth-{depth} color set"):
+                    VoxelGrid(payload.reshape(2, 2, 2), spacing=1.0, depth=depth)
+                payload.tofile(f)
+                with pytest.raises(VolumeFormatError, match=f"depth-{depth} color set"):
+                    load_volume(f)
+
+
+def test_load_memory_peak(tmp_path):
+    # the float64 grid, the grid's snapped copy (8 B/voxel each) and its 1 B/voxel
+    # mismatch mask, the 4 B/voxel payload freed before; a full-grid temporary adds 4-8
+    store_volume(voxelize(fiber_lattice_64(), (64, 64, 64), 1.0, 2), tmp_path / "f.raw")
+    tracemalloc.start()
+    try:
+        load_volume(tmp_path / "f.raw")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / 64**3 <= 18, peak / 64**3
 
 
 def test_f32_continuous_round_trip_close(tmp_path):

@@ -52,6 +52,17 @@ def test_grid_invariants_enforced():
         VoxelGrid(np.zeros((2, 2, 2)), spacing=0.0, depth=1)
 
 
+def test_float32_color_images_stored_as_colors():
+    # an f32 payload holds each color k/m as its float32 image; the grid keeps k/m
+    for depth in (1, 2, 3, 4):
+        colors = color_set(depth)
+        g = VoxelGrid(np.tile(colors.astype(np.float32), (2, 2, 1)), spacing=1.0,
+                      depth=depth)
+        assert g.values.dtype == np.float64
+        for row in g.values.reshape(-1, len(colors)):
+            assert np.array_equal(row, np.arange(len(colors)) / color_steps(depth))
+
+
 def test_grid_values_are_readonly():
     g = VoxelGrid(np.zeros((3, 3, 3)), spacing=1.0, depth=1)
     with pytest.raises(ValueError):
