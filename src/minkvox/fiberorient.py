@@ -13,14 +13,13 @@ component is then blurred with its spectrum; the whole gradient is never held.
 The eigen stage runs in closed form on the six tensor components, chunk by
 chunk (Kopp, "Efficient numerical diagonalization of hermitian 3x3
 matrices", arXiv:physics/0610206): the trigonometric formula gives the
-eigenvalues, one Rayleigh-quotient step sharpens the smallest one, and the
-largest cross product of two rows of A - lambda_min I is the minor
-eigenvector.  No per-voxel 3x3 array is formed: a chunk's projectors are
-summed by one (3, n) x (n, 3) product.  The closed form degrades as the two
-smallest eigenvalues meet, so voxels whose bottom gap lambda_mid - lambda_min
-is below CLOSED_FORM_GAP_REL times the spectral radius, whose deviator is
-zero, or whose cross products all vanish go through np.linalg.eigh and the
-tie rule instead.
+eigenvalues, and the squared adjugate B^2 / tr(B^2) of B = adj(A - lambda_min I)
+is the minor projector, in which the error of lambda_min enters only squared.
+No per-voxel 3x3 array is formed: a chunk's projectors are summed by one
+(6, n) x (n,) product.  The closed form degrades as the two smallest
+eigenvalues meet, so voxels whose bottom gap lambda_mid - lambda_min is below
+CLOSED_FORM_GAP_REL times the spectral radius, whose deviator is zero, or
+whose B vanishes go through np.linalg.eigh and the tie rule instead.
 """
 
 from __future__ import annotations
@@ -41,13 +40,15 @@ __all__ = ["OrientationResult", "structure_tensor_orientation"]
 DEFAULT_MASK_THRESHOLD_REL = 1e-3
 EIGENVALUE_TIE_REL = 1e-12
 # Below this bottom gap, relative to the spectral radius, the closed-form
-# eigenvector is no longer as accurate as eigh's (its error grows like
-# eps * radius / gap once the Rayleigh step has run), so eigh takes over.
+# projector is no longer as accurate as eigh's (its error grows like
+# eps * radius / gap, from the round-off of B's entries), so eigh takes over.
 CLOSED_FORM_GAP_REL = 1e-4
 # grid voxels per eigen-stage chunk; keeps the per-voxel temporaries in cache
 _CHUNK = 1 << 14
 # component order of the structure tensor: xx, yy, zz, xy, xz, yz
 _PAIRS = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
+# those components in the row-major order of the full 3x3 tensor
+_FULL = [0, 3, 4, 3, 1, 5, 4, 5, 2]
 
 
 @dataclass(frozen=True)
@@ -115,12 +116,13 @@ def structure_tensor_orientation(
 
     trace = blurred[0] + blurred[1]
     trace += blurred[2]
+    peak = trace.max()
     if mask_threshold_rel > 0:
-        mask = trace >= mask_threshold_rel * trace.max()
+        mask = trace >= mask_threshold_rel * peak
     else:
         mask = np.ones(dims, dtype=bool)
     count = int(mask.sum())
-    if count == 0 or trace.max() <= 0:
+    if count == 0 or peak <= 0:
         raise DegenerateImageError("no voxel carries structure-tensor signal")
 
     flat = blurred.reshape(6, -1)
@@ -145,64 +147,79 @@ def minor_projector_sum(comps: np.ndarray) -> np.ndarray:
     instead, (I - w w^T) / 2 for a two-fold and I / 3 for a three-fold tie.
     """
     # C order for callers that pass strided views; an exact power-of-two scale to a
-    # largest entry in [1/2, 1) keeps the degree-4 and -5 terms below normal floats
+    # largest entry in [1/2, 1) keeps det (degree 3) and B^2 (degree 4) normal floats
     comps = np.ascontiguousarray(comps)
-    comps = np.ldexp(comps, -np.frexp(np.abs(comps).max(axis=0))[1])
-    a, b, c, d, e, f = comps
-    q = (a + b + c) / 3
-    da, db, dc = a - q, b - q, c - q
-    p = np.sqrt((da * da + db * db + dc * dc + 2 * (d * d + e * e + f * f)) / 6)
-    det = da * (db * dc - f * f) - d * (d * dc - e * f) + e * (d * f - db * e)
+    scaled = np.abs(comps)
+    comps = np.ldexp(comps, -np.frexp(scaled.max(axis=0))[1], out=scaled)
+    # every per-voxel value is a row of one scratch block written through out=;
+    # a fresh array for each step makes the stage about twice as slow
+    n = comps.shape[1]
+    block = np.empty((25, n))
+    mat, adj = block[:18].reshape(2, 3, 3, n)
+    diag = block[:9:4]  # mat[0, 0], mat[1, 1] and mat[2, 2]
+    q, p, det, lam_max, lam_min, t, u = block[18:]
+    for slot, (i, j) in enumerate(_PAIRS[3:], 3):
+        mat[i, j] = mat[j, i] = comps[slot]
+    np.mean(comps[:3], axis=0, out=q)
+    np.subtract(comps[:3], q, out=diag)  # the deviator D = A - q I
+    np.sqrt(np.einsum("ijn,ijn->n", mat, mat, out=p) / 6, out=p)  # tr D^2 = 6 p^2
+    _cofactors(mat, ((0, 0), (0, 1), (0, 2)), adj, t)
+    np.einsum("kn,kn->n", mat[0], adj[0], out=det)  # det D along the first row
     with np.errstate(divide="ignore", invalid="ignore"):
         # p == 0 (a multiple of I) makes every eigenvalue NaN, which the
         # gap test below sends to eigh
-        phi = np.arccos(np.clip(det / (2 * p**3), -1.0, 1.0)) / 3
-        lam_max = q + 2 * p * np.cos(phi)
-        lam_min = q + 2 * p * np.cos(phi + 2 * np.pi / 3)
-        lam_mid = 3 * q - lam_max - lam_min
-        # The trigonometric lambda_min errs by about eps p^2 / gap, which the
-        # cross product turns into an eigenvector error of eps (p / gap)^2.
-        # Its Rayleigh quotient is accurate to eps * radius, and the cross
-        # product taken with it errs by eps * radius / gap, as eigh does.
-        (x, y, z), norm2 = _minor_cross(comps, lam_min)
-        rayleigh = (x * (a * x + d * y + e * z) + y * (d * x + b * y + f * z)
-                    + z * (e * x + f * y + c * z)) / norm2
-        (x, y, z), norm2 = _minor_cross(comps, rayleigh)
-    radius = np.maximum(np.abs(lam_max), np.abs(lam_min))
-    fallback = ~(lam_mid - lam_min >= CLOSED_FORM_GAP_REL * radius) | ~(norm2 > 0)
+        np.multiply(p, p, out=t)
+        t *= p
+        t *= 2
+        np.clip(np.divide(det, t, out=t), -1.0, 1.0, out=t)
+        np.arccos(t, out=t)
+        t /= 3
+        p *= 2
+        np.multiply(np.cos(t, out=u), p, out=lam_max)
+        lam_max += q
+        t += 2 * np.pi / 3
+        np.multiply(np.cos(t, out=u), p, out=lam_min)
+        lam_min += q
+        np.multiply(q, 3, out=u)  # the gap lam_mid - lam_min, lam_mid = 3 q - lam_max - lam_min
+        u -= lam_max
+        u -= lam_min
+        u -= lam_min
+        np.maximum(np.abs(lam_max, out=lam_max), np.abs(lam_min, out=t), out=t)
+        fallback = ~(u >= np.multiply(t, CLOSED_FORM_GAP_REL, out=t))
+    # B = adj(A - lam_min I) is about g1 g2 v v^T plus an error of order
+    # delta * gap across v, where delta is the error of lam_min and g1, g2
+    # are the gaps above it; B^2 / tr(B^2) is v v^T up to (delta / g1)^2
+    np.subtract(comps[:3], lam_min, out=diag)
+    _cofactors(mat, _PAIRS, adj, t)
+    sq = block[:6]
+    for row, (i, j) in zip(sq, _PAIRS):
+        np.einsum("kn,kn->n", adj[i], adj[j], out=row)
+    tr = np.sum(sq[:3], axis=0, out=t)
+    fallback |= ~(tr > 0)
 
     total = np.zeros((3, 3))
     if fallback.any():
         total += _eigh_projector_sum(comps[:, fallback])
         keep = ~fallback
-        x, y, z, norm2 = x[keep], y[keep], z[keep], norm2[keep]
-    v = np.stack((x, y, z))
-    return total + (v / norm2) @ v.T
+        sq, tr = sq[:, keep], tr[keep]
+    return total + (sq @ np.divide(1, tr, out=tr))[_FULL].reshape(3, 3)
 
 
-def _minor_cross(comps, lam):
-    """The largest row cross product of A - lam I, and its squared norm."""
-    a, b, c, d, e, f = comps
-    al, bl, cl = a - lam, b - lam, c - lam
-    best = (d * f - e * bl, d * e - al * f, al * bl - d * d)  # row 0 x row 1
-    best_norm2 = best[0] ** 2 + best[1] ** 2 + best[2] ** 2
-    for cross in ((d * cl - e * f, e * e - al * cl, al * f - d * e),  # row 0 x row 2
-                  (bl * cl - f * f, e * f - d * cl, d * f - bl * e)):  # row 1 x row 2
-        norm2 = cross[0] ** 2 + cross[1] ** 2 + cross[2] ** 2
-        take = norm2 > best_norm2
-        best = tuple(np.where(take, new, old) for new, old in zip(cross, best))
-        best_norm2 = np.where(take, norm2, best_norm2)
-    return best, best_norm2
+def _cofactors(mat, pairs, out, t):
+    """Write cofactor (i, j) of the symmetric 3x3 tensors ``mat`` (3, 3, n) to
+    out[i, j] and out[j, i] for each pair; ``t`` is a scratch row."""
+    for i, j in pairs:
+        i1, i2, j1, j2 = (i + 1) % 3, (i + 2) % 3, (j + 1) % 3, (j + 2) % 3
+        np.multiply(mat[i1, j1], mat[i2, j2], out=out[i, j])
+        out[i, j] -= np.multiply(mat[i1, j2], mat[i2, j1], out=t)
+        if i != j:
+            out[j, i] = out[i, j]
 
 
 def _eigh_projector_sum(comps):
     """minor_projector_sum by a batched np.linalg.eigh, for the voxels the
     closed form cannot resolve; this is where the tie rule applies."""
-    tensors = np.empty((comps.shape[1], 3, 3))
-    for slot, (i, j) in enumerate(_PAIRS):
-        tensors[:, i, j] = comps[slot]
-        tensors[:, j, i] = comps[slot]
-
+    tensors = comps[_FULL].T.reshape(-1, 3, 3)
     vals, vecs = np.linalg.eigh(tensors)  # ascending eigenvalues
     scale = np.abs(vals[:, 2])
     tied_low = vals[:, 1] - vals[:, 0] <= EIGENVALUE_TIE_REL * scale

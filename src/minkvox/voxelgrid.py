@@ -94,6 +94,8 @@ class VoxelGrid:
                         f"values are not members of the depth-{self.depth} color set"
                     )
             vals = snapped
+        elif np.may_share_memory(vals, self.values):
+            vals = vals.copy()  # freeze the grid's own array, not the caller's
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 

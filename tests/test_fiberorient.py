@@ -222,6 +222,22 @@ def test_closed_form_bottom_gap_sweep():
                 assert np.abs(lam - [0.0, 0.5, 0.5]).max() <= 1e-12
 
 
+def test_closed_form_projectors_just_above_the_hand_over():
+    # the closed form's error peaks at the smallest gap it keeps; each
+    # tensor's projector, not only their sum, must stay near eigh's there
+    rng = np.random.default_rng(96)
+    n = 2000
+    gap = np.linspace(2e-4, 1e-4, n, endpoint=False)  # (1e-4, 2e-4] of lambda_max
+    comps = _rotated(rng, np.stack([np.zeros(n), gap, np.ones(n)], axis=1)
+                     + rng.uniform(0.0, 0.5, (n, 1)) * [1.0, 1.0, 0.0])
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(np.linalg, "eigh", None)  # the closed form takes every tensor
+        got = [minor_projector_sum(comps[:, [k]]) for k in range(n)]
+    for k in range(n):
+        ref = _eigh_reference(comps[:, [k]])
+        assert np.linalg.norm(got[k] - ref) <= 1e-11 * np.linalg.norm(ref), k
+
+
 def test_closed_form_exact_ties():
     n, c = 7, 2.5
     zero = np.zeros((6, n))

@@ -69,6 +69,17 @@ def test_grid_values_are_readonly():
         g.values[0, 0, 0] = 1.0
 
 
+def test_grid_freezes_its_own_copy_not_the_callers_array():
+    # a C-contiguous float64 array (or a view of one) would pass through as is
+    for depth in (None, 1):
+        a = np.zeros((2, 3, 4))
+        grids = [VoxelGrid(a, 1.0, depth), VoxelGrid(a[:, :, :], 1.0, depth)]
+        a[0, 0, 0] = 1.0
+        for g in grids:
+            assert not g.values.flags.writeable
+            assert not g.values.any(), depth
+
+
 def test_voxelize_covering_ball_all_ones():
     # radius >= box diagonal: every sample point is inside, any depth
     n = 6
