@@ -7,8 +7,8 @@ of least gray-value variation, which for fibrous structures is the local
 fiber axis.  Averaging the outer products of these eigenvectors over all
 sufficiently structured voxels and normalizing by the trace yields an
 estimate of the second-order orientation tensor A = <p p^T>.  Each x-slab's
-products g_i g_j go straight into six padded field buffers, in which each
-component is then blurred with its spectrum; the whole gradient is never held.
+products g_i g_j go straight into six padded field buffers, in which one call
+blurs all six; neither the whole gradient nor the whole transfer is held.
 
 The eigen stage runs in closed form on the six tensor components, chunk by
 chunk (Kopp, "Efficient numerical diagonalization of hermitian 3x3
@@ -109,10 +109,7 @@ def structure_tensor_orientation(
         for slot, (i, j) in enumerate(_PAIRS):
             np.multiply(g[i], g[j], out=blurred[slot, x0:x0 + SLAB])
     del f
-    transfer = kernel_transfer(second_kernel, dims, spacing)
-    for field, slot in zip(blurred, buf):
-        apply_transfer(field, transfer, slot)
-    del transfer
+    apply_transfer(blurred, kernel_transfer(second_kernel, dims, spacing), buf)
 
     trace = blurred[0] + blurred[1]
     trace += blurred[2]

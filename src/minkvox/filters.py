@@ -6,9 +6,10 @@ radius h*sigma.  Both are sampled at the voxel centers in wrap-around layout
 (peak at index (0, 0, 0)) and renormalized so that the discrete sum times h^3
 is exactly one, which makes the convolution mean-preserving.  The profile is
 evaluated on the support's bounding box of offsets only.  The transfer
-function runs numpy's rfftn passes (z, then y, then x) on the rows that box
-reaches, since all-zero rows transform to exact zeros.  A convolution runs them
-and their inverses in one buffer whose z-rows are padded to hold the spectrum.
+function runs numpy's rfftn passes on the rows that box reaches, as all-zero
+rows transform to exact zeros: z and y at once, x a block of y-rows at a time
+inside a convolution, which runs in one buffer per field whose z-rows are
+padded to hold the spectrum; no whole-grid transfer is held.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ __all__ = [
 
 GAUSSIAN_TRUNCATION_SIGMAS = 3.0
 _SLAB = 4  # x-layers per z pass; numpy copies a slab that overlaps its output
+_YBLOCK = 8  # y-rows per transfer block; on a 128^3 orientation 4-16 tie, 32 and 128 are slower
 
 
 @dataclass(frozen=True)
@@ -133,19 +135,25 @@ def sample_kernel(kernel: Kernel, dims, spacing: float) -> np.ndarray:
     return vals
 
 
-def kernel_transfer(kernel: Kernel, dims, spacing: float) -> np.ndarray:
-    """Fourier transfer function of the sampled kernel, including the h^3 weight."""
+def kernel_transfer(kernel: Kernel, dims, spacing: float):
+    """The transfer as ``(rows, ix, h^3)``: the support box's x-rows ``ix`` after
+    the z and y passes, (bx, ny, nz // 2 + 1); ``_transfer_block`` ends the x pass."""
     box, (ix, iy, iz) = _box_samples(kernel, dims, spacing)
-    nx, ny, nz = (int(n) for n in dims)
+    ny, nz = (int(n) for n in dims[1:])
     rows = np.zeros(box.shape[:2] + (nz,))
     rows[:, :, iz] = box
     part = np.zeros((len(ix), ny, nz // 2 + 1), complex)
     part[:, iy] = np.fft.rfft(rows, axis=2)
-    spec = np.zeros((nx, ny, nz // 2 + 1), complex)
-    spec[ix] = np.fft.fft(part, axis=1)
-    np.fft.fft(spec, axis=0, out=spec)
-    spec *= spacing**3
-    return spec
+    return np.fft.fft(part, axis=1, out=part), ix, spacing**3
+
+
+def _transfer_block(transfer, nx: int, ys: slice) -> np.ndarray:
+    """y-rows ``ys`` of the whole-grid transfer, (nx, len(ys), nz // 2 + 1)."""
+    rows, ix, weight = transfer
+    part = rows[:, ys]
+    block = np.zeros((nx,) + part.shape[1:], complex)
+    block[ix] = part
+    return np.multiply(np.fft.fft(block, axis=0, out=block), weight, out=block)
 
 
 def field_buffer(dims, lead=()) -> np.ndarray:
@@ -153,26 +161,36 @@ def field_buffer(dims, lead=()) -> np.ndarray:
     return np.empty(tuple(lead) + (dims[0] * dims[1] * 2 * (dims[2] // 2 + 1),))
 
 
-def apply_transfer(values: np.ndarray, transfer: np.ndarray, buf: np.ndarray) -> np.ndarray:
-    """Periodic convolution of a raw value array with a precomputed transfer.
+def apply_transfer(values: np.ndarray, transfer, buf: np.ndarray) -> np.ndarray:
+    """Periodic convolution of raw value fields with a kernel transfer.
 
-    ``irfftn(rfftn(values) * transfer)`` by the same numpy passes inside
-    ``buf = field_buffer(values.shape)``; returns its C-ordered front, the
-    field, which ``values`` may be.
+    ``irfftn(rfftn(v) * T)`` for each field v of ``values`` (lead + dims) by
+    the same numpy passes inside ``buf = field_buffer(dims, lead)``; T is
+    built ``_YBLOCK`` y-rows at a time, once for all fields.  Returns the
+    fields, the C-ordered fronts of the buffer rows, which ``values`` may be.
     """
-    spec = buf.view(complex).reshape(transfer.shape)
-    field = buf[:values.size].reshape(values.shape)
-    slabs = [slice(x, x + _SLAB) for x in range(0, len(values), _SLAB)]
-    for s in reversed(slabs):  # downward: spectrum slab x starts at or after field slab x
-        np.fft.rfft(values[s], axis=2, out=spec[s])
-    for axis in (1, 0):
-        np.fft.fft(spec, axis=axis, out=spec)
-    spec *= transfer
-    for axis in (0, 1):
-        np.fft.ifft(spec, axis=axis, out=spec)
-    for s in slabs:  # upward, so that no unread spectrum is overwritten
-        np.fft.irfft(spec[s], values.shape[2], axis=2, out=field[s])
-    return field
+    dims = values.shape[-3:]
+    bufs = buf.reshape(-1, buf.shape[-1])
+    specs = bufs.view(complex).reshape((-1,) + dims[:2] + (dims[2] // 2 + 1,))
+    fields = bufs[:, :np.prod(dims)].reshape((-1,) + dims)
+    slabs = [slice(x, x + _SLAB) for x in range(0, dims[0], _SLAB)]
+    for vals, spec in zip(values.reshape(fields.shape), specs):
+        for s in reversed(slabs):  # downward: spectrum slab x starts at or after field slab x
+            np.fft.rfft(vals[s], axis=2, out=spec[s])
+            np.fft.fft(spec[s], axis=1, out=spec[s])
+    for y0 in range(0, dims[1], _YBLOCK):
+        ys = slice(y0, y0 + _YBLOCK)
+        block = _transfer_block(transfer, dims[0], ys)
+        for spec in specs:
+            part = spec[:, ys]
+            np.fft.fft(part, axis=0, out=part)
+            part *= block
+            np.fft.ifft(part, axis=0, out=part)
+    for spec, field in zip(specs, fields):
+        for s in slabs:  # upward, so that no unread spectrum is overwritten
+            np.fft.ifft(spec[s], axis=1, out=spec[s])
+            np.fft.irfft(spec[s], dims[2], axis=2, out=field[s])
+    return fields.reshape(values.shape)
 
 
 def fft_convolve(image: VoxelGrid, kernel: Kernel) -> np.ndarray:

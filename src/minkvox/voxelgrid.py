@@ -87,8 +87,8 @@ class VoxelGrid:
             snapped /= m
             # a value off its color must be the color's float32 image; compare
             # those only, an x-layer at a time to bound the temporaries
-            for s, v, off in zip(snapped, vals, snapped != vals):
-                i = np.flatnonzero(off)
+            for s, v in zip(snapped, vals):
+                i = np.flatnonzero(s != v)
                 if not np.array_equal(s.take(i).astype(np.float32), v.take(i)):
                     raise ValueError(
                         f"values are not members of the depth-{self.depth} color set"

@@ -19,6 +19,7 @@ from minkvox import (
     color_steps,
     voxelize,
 )
+from minkvox.filters import _transfer_block, kernel_transfer
 
 # Sub-voxel ball displacement, in micrometers.  Breaks all lattice mirror
 # symmetries so that discretization errors do not cancel by accident; at
@@ -139,6 +140,11 @@ def roll_gradient(vals: np.ndarray, h: float, scheme: str) -> np.ndarray:
         else:
             out[..., i] = (vals - down) / h
     return out
+
+
+def whole_transfer(kernel, dims, h: float) -> np.ndarray:
+    """The whole-grid transfer of a kernel: the block builder's one block of ny y-rows."""
+    return _transfer_block(kernel_transfer(kernel, dims, h), dims[0], slice(0, dims[1]))
 
 
 def quantize(grid: VoxelGrid, depth: int) -> VoxelGrid:

@@ -15,7 +15,7 @@ from minkvox import (
 )
 from minkvox import fiberorient
 from minkvox.fiberorient import CLOSED_FORM_GAP_REL, minor_projector_sum
-from minkvox.filters import fft_convolve, kernel_transfer
+from minkvox.filters import fft_convolve
 from minkvox.minkowski import unit_trace
 
 from gridmakers import (
@@ -26,6 +26,7 @@ from gridmakers import (
     random_grid,
     roll_gradient,
     shift,
+    whole_transfer,
 )
 
 
@@ -273,7 +274,7 @@ def _whole_grid_orientation(image, first, second, scheme):
     """The orientation with the whole gradient, one product and one irfftn per
     component, written out in full."""
     g = roll_gradient(fft_convolve(image, first), image.spacing, scheme)
-    transfer = kernel_transfer(second, image.dims, image.spacing)
+    transfer = whole_transfer(second, image.dims, image.spacing)
     pairs = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
     blurred = np.empty((6,) + image.dims)
     for slot, (i, j) in enumerate(pairs):
@@ -306,10 +307,11 @@ def test_slab_products_bitwise_equal_whole_grid_formula():
 
 def test_orientation_memory_peak():
     # the caller's image (8 B/voxel) and six components padded for their
-    # spectra (6 x 8.25), then 8.25 for the transfer or 9 for the trace and
-    # mask; at 64^3 the eigen-stage chunks add about 20 (peak 79.6, 78.1 with
-    # unpadded components and a separate spectrum).  A whole-grid gradient and
-    # per-component temporaries reach about 108.
+    # spectra (6 x 8.25), then the blur's support rows and one transfer block
+    # (under 2 at 64^3) or 9 for the trace and mask; the eigen-stage chunks
+    # add about 20 (peak 79.1).  A whole-grid transfer held through the blurs
+    # adds 8.25, and a whole-grid gradient and per-component temporaries
+    # reach about 108.
     image = random_grid(np.random.default_rng(94), (64, 64, 64))
     tracemalloc.start()
     try:

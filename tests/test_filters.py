@@ -8,6 +8,7 @@ from minkvox import (
     GaussianKernel,
     KernelSupportError,
     VoxelGrid,
+    analyze,
     fft_convolve,
     kernel_name,
     sample_kernel,
@@ -15,13 +16,21 @@ from minkvox import (
     voxelize,
 )
 from minkvox.filters import (
+    _YBLOCK,
     GAUSSIAN_TRUNCATION_SIGMAS,
     apply_transfer,
     field_buffer,
     kernel_transfer,
 )
 
-from gridmakers import binary_laminate, cube_symmetries, fiber_lattice_64, random_grid, shift
+from gridmakers import (
+    binary_laminate,
+    cube_symmetries,
+    fiber_lattice_64,
+    random_grid,
+    shift,
+    whole_transfer,
+)
 
 KERNELS = (GaussianKernel(1.2), GaussianKernel(2.0), BallKernel(1.2),
            BallKernel(2.5))
@@ -130,7 +139,7 @@ def test_kernel_transfer_matches_whole_grid_rfftn():
                           GaussianKernel(1.2), GaussianKernel(1.45))]
     for kern, dims in cases:
         for h in (0.7, 2.3):
-            transfer = kernel_transfer(kern, dims, h)
+            transfer = whole_transfer(kern, dims, h)
             ref = np.fft.rfftn(sample_kernel(kern, dims, h)) * h**3
             assert transfer.shape == ref.shape, (kern, dims, h)
             assert np.abs(transfer - ref).max() <= 1e-15, (kern, dims, h)
@@ -154,14 +163,15 @@ def test_apply_transfer_matches_irfftn():
         values = rng.random(dims)
         for kern in (BallKernel(1.2), GaussianKernel(1.45 if min(dims) > 8 else 0.45)):
             transfer = kernel_transfer(kern, dims, 0.7)
-            before_values, before_transfer = values.copy(), transfer.copy()
+            before_values, before_rows = values.copy(), transfer[0].copy()
             buf = field_buffer(dims)
             out = apply_transfer(values, transfer, buf)
-            assert np.array_equal(out, _irfftn_reference(values, transfer)), (dims, kern)
+            ref = _irfftn_reference(values, whole_transfer(kern, dims, 0.7))
+            assert np.array_equal(out, ref), (dims, kern)
             assert out.shape == dims and out.flags.c_contiguous
             assert np.shares_memory(out, buf)
             assert np.array_equal(values, before_values)
-            assert np.array_equal(transfer, before_transfer)
+            assert np.array_equal(transfer[0], before_rows)
 
 
 def test_apply_transfer_into_its_input():
@@ -170,19 +180,36 @@ def test_apply_transfer_into_its_input():
     for dims in _TRANSFER_DIMS:
         values = rng.random(dims)
         transfer = kernel_transfer(BallKernel(1.2), dims, 0.7)
-        before_transfer = transfer.copy()
+        before_rows = transfer[0].copy()
         bufs = field_buffer(dims, (2,))
         field = bufs[1, :values.size].reshape(dims)
         field[...] = values
         got = apply_transfer(field, transfer, bufs[1])
+        ref = _irfftn_reference(values, whole_transfer(BallKernel(1.2), dims, 0.7))
         assert np.shares_memory(got, field) and got.flags.c_contiguous
-        assert np.array_equal(got, _irfftn_reference(values, transfer)), dims
-        assert np.array_equal(transfer, before_transfer)
+        assert np.array_equal(got, ref), dims
+        assert np.array_equal(transfer[0], before_rows)
+
+
+def test_stacked_fields_equal_one_field_calls():
+    # one k-field call builds each transfer block once for all fields; ny
+    # below, equal to and not a multiple of the y-block
+    rng = np.random.default_rng(48)
+    for dims in ((9, _YBLOCK - 3, 13), (6, _YBLOCK, 7), (5, 2 * _YBLOCK + 3, 10)):
+        for kern in (BallKernel(1.2), GaussianKernel(0.45)):
+            transfer = kernel_transfer(kern, dims, 0.7)
+            values = rng.random((3,) + dims)
+            got = apply_transfer(values, transfer, field_buffer(dims, (3,)))
+            assert got.shape == values.shape
+            for v, g in zip(values, got):
+                one = apply_transfer(v, transfer, field_buffer(dims))
+                assert np.array_equal(g, one), (dims, kern)
 
 
 def test_fft_convolve_memory_peak():
-    # the transfer and the padded buffer, 8 (nz + 2) / nz = 8.25 B/voxel each
-    # at nz = 64, and the slab copies; a separate spectrum adds 8.25 more
+    # the padded buffer, 8 (nz + 2) / nz = 8.25 B/voxel at nz = 64, plus the
+    # support rows, one transfer block and a z-pass slab copy (11.2 here); a
+    # whole-grid transfer adds 8.25 more, and so does a separate spectrum
     grid = voxelize(fiber_lattice_64(), (64, 64, 64), 1.0, 2)
     for kern in (BallKernel(1.2), GaussianKernel(1.2)):
         tracemalloc.start()
@@ -191,7 +218,22 @@ def test_fft_convolve_memory_peak():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak / 64**3 <= 20, (kern, peak / 64**3)
+        assert peak / 64**3 <= 12.5, (kern, peak / 64**3)
+
+
+def test_filtered_analyze_memory_peak():
+    # the caller's grid is not counted; the filtered field's padded buffer
+    # (8.25 B/voxel) and then the 4-layer slab pass of S and W (4.5 at 64^3,
+    # as without a filter) read 13.3; a whole-grid transfer held through the
+    # filter reads 17.5
+    grid = voxelize(fiber_lattice_64(), (64, 64, 64), 1.0, 2)
+    tracemalloc.start()
+    try:
+        analyze(grid, BallKernel(1.2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / 64**3 <= 15, peak / 64**3
 
 
 def test_convolution_preserves_constants():

@@ -144,16 +144,22 @@ def test_value_one_ulp_off_color_image_rejected(tmp_path):
 
 
 def test_load_memory_peak(tmp_path):
-    # the float64 grid, the grid's snapped copy (8 B/voxel each) and its 1 B/voxel
-    # mismatch mask, the 4 B/voxel payload freed before; a full-grid temporary adds 4-8
+    # the float64 array and the grid's snapped copy (8 B/voxel each), then one
+    # x-layer's compare and index temporaries (8 B per layer voxel, 1/64 of the
+    # grid each; 16.04 on the lattice, 16.40 on a volume with every voxel off its
+    # color); the 4 B/voxel payload is freed before.  A whole-grid mismatch mask
+    # adds 1 (17.03, 17.41), a full-grid temporary 4-8
     store_volume(voxelize(fiber_lattice_64(), (64, 64, 64), 1.0, 2), tmp_path / "f.raw")
-    tracemalloc.start()
-    try:
-        load_volume(tmp_path / "f.raw")
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak / 64**3 <= 18, peak / 64**3
+    store_volume(random_grid(np.random.default_rng(3), (64, 64, 64), depth=2),
+                 tmp_path / "r.raw")
+    for name in ("f.raw", "r.raw"):
+        tracemalloc.start()
+        try:
+            load_volume(tmp_path / name)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / 64**3 <= 16.6, (name, peak / 64**3)
 
 
 def test_f32_continuous_round_trip_close(tmp_path):
