@@ -14,8 +14,8 @@ zero gradient are skipped.  The quadratic normal tensor is W normalized to
 unit trace.
 
 S and W are sums of per-voxel terms (Svane, Image Anal. Stereol. 34, 2015),
-taken over x-slabs of gradient.SLAB layers in two passes, |g| first and then
-the outer products of the nonzero gradients; no whole-grid gradient is held.
+taken over x-slabs of gradient.SLAB layers in two passes (max |g|^2, then |g|
+and the outer products of nonzero gradients); no whole-grid gradient is held.
 """
 
 from __future__ import annotations
@@ -113,13 +113,13 @@ def estimate_surface_and_tensor(
 
     def slab(x0):
         g = stencil(f, x0, min(x0 + SLAB, f.shape[0]), h, scheme).reshape(3, -1)
-        return g, np.sqrt(np.einsum("ij,ij->j", g, g))
+        return g, np.einsum("ij,ij->j", g, g)
 
-    sums = [(float(norms.sum()), float(norms.max())) for _, norms in map(slab, starts)]
-    total, gmax = sum(s for s, _ in sums), max(m for _, m in sums)
-    mat = np.zeros((3, 3))
+    gmax = np.sqrt(max(float(sq.max()) for _, sq in map(slab, starts)))  # bitwise max |g|
+    total, mat = 0.0, np.zeros((3, 3))
     for x0 in starts:
         g, norms = slab(x0)
+        total += float(np.sqrt(norms, out=norms).sum())
         keep = norms > 0.0
         # g sqrt(w) times its transpose is the weighted sum; numpy runs x @ x.T as syrk
         g = np.compress(keep, g, axis=1)

@@ -9,10 +9,10 @@ A volume at ``path`` consists of two files:
   ``depth`` (int or the string "continuous"), ``dtype`` ("u8", "u16" or
   "f32") and ``order`` (always "x-fastest").
 
-Integer payloads map linearly onto [0, 1] by value / (2^bits - 1); they are
-bit-exact under store/load round trips.  f32 payloads are rounded to single
-precision.  A depth-p payload must hold colors of the depth-p set or, in f32,
-their float32 images, which load as the colors; other values are format errors.
+Integer payloads map linearly onto [0, 1] by value / (2^bits - 1), bit-exact
+under store/load round trips; f32 payloads, rounded to single precision, go to
+the grid as a view.  A depth-p payload must hold colors of the depth-p set or,
+in f32, their float32 images, which load as the colors; others are format errors.
 """
 
 from __future__ import annotations
@@ -77,7 +77,10 @@ def store_volume(grid: VoxelGrid, path, dtype: str | None = None) -> None:
 
 
 def load_volume(path) -> VoxelGrid:
-    """Read a grid from ``path`` / ``path.json``; inverse of store_volume."""
+    """Read a grid from ``path`` / ``path.json``; inverse of store_volume.
+
+    The grid copies the payload view itself, so an f32 load peaks at 4 + 8 B/voxel.
+    """
     sidecar_file = _sidecar_path(path)
     try:
         text = sidecar_file.read_text()
@@ -136,13 +139,10 @@ def load_volume(path) -> VoxelGrid:
             f"({dims[0]}x{dims[1]}x{dims[2]} of {meta['dtype']})"
         )
 
-    arr = np.empty(dims)  # C order, as VoxelGrid keeps it, so it is not copied
-    arr[...] = np.frombuffer(raw, dtype=np_dtype).reshape(dims, order="F")
+    arr = np.frombuffer(raw, dtype=np_dtype).reshape(dims, order="F")
+    if meta["dtype"] != "f32":
+        arr = arr / np.iinfo(np_dtype).max
     del raw
-    if meta["dtype"] == "u8":
-        arr /= 255.0
-    elif meta["dtype"] == "u16":
-        arr /= 65535.0
     try:
         return VoxelGrid(arr, float(spacing), depth=depth)
     except ValueError as exc:

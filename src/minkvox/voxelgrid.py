@@ -60,7 +60,8 @@ class VoxelGrid:
     restricts the values to the discrete color set of depth p, i.e. {0, 1}
     for p = 1 and multiples of 1/(p^3 - 1) otherwise.  A color's float32
     image, as an f32 payload holds it, is accepted and stored as the color.
-    The value array is frozen after construction, so grids can be shared freely.
+    Grids can be shared freely: each freezes its own C float64 array, one copy of
+    any other input, snapped in place; a caller's C float64 array is left as is.
     """
 
     values: np.ndarray
@@ -68,34 +69,43 @@ class VoxelGrid:
     depth: int | None = None
 
     def __post_init__(self):
-        vals = np.ascontiguousarray(np.asarray(self.values, dtype=np.float64))
+        vals = np.asarray(self.values)
         if vals.ndim != 3:
             raise ValueError(f"expected a 3D value array, got ndim={vals.ndim}")
         if min(vals.shape) < 2:
             raise ValueError(f"grid dims must all be >= 2, got {vals.shape}")
         check_spacing(self.spacing)
+        if not (vals.dtype == np.float64 and vals.flags.c_contiguous):
+            # blocks of 8 y- by 64 z-rows transpose an F-ordered view in cache
+            src, vals = vals, np.empty(vals.shape)
+            for y0 in range(0, vals.shape[1], 8):
+                for z0 in range(0, vals.shape[2], 64):
+                    vals[:, y0 : y0 + 8, z0 : z0 + 64] = src[:, y0 : y0 + 8, z0 : z0 + 64]
         # negated so that NaN, which fails every comparison, is rejected too
         if not (vals.min() >= 0.0 and vals.max() <= 1.0):
             raise ValueError(
                 f"gray values must lie in [0, 1], got range "
                 f"[{vals.min()}, {vals.max()}]"
             )
+        shared = np.may_share_memory(vals, self.values)  # the caller's: never written or frozen
         if self.depth is not None:
             m = color_steps(self.depth)
-            snapped = vals * m
-            np.rint(snapped, out=snapped)
-            snapped /= m
-            # a value off its color must be the color's float32 image; compare
-            # those only, an x-layer at a time to bound the temporaries
-            for s, v in zip(snapped, vals):
+            out = np.empty_like(vals) if shared else vals
+            # by x-layers; a value off its color must be the color's float32 image
+            s = np.empty(vals.shape[1:])
+            for v, o in zip(vals, out):
+                np.multiply(v, m, out=s)
+                np.rint(s, out=s)
+                s /= m
                 i = np.flatnonzero(s != v)
                 if not np.array_equal(s.take(i).astype(np.float32), v.take(i)):
                     raise ValueError(
                         f"values are not members of the depth-{self.depth} color set"
                     )
-            vals = snapped
-        elif np.may_share_memory(vals, self.values):
-            vals = vals.copy()  # freeze the grid's own array, not the caller's
+                o[...] = s
+            vals = out
+        elif shared:
+            vals = vals.copy()
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 

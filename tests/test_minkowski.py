@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from minkvox import minkowski
-from minkvox.gradient import SLAB
+from minkvox.filters import fft_convolve
+from minkvox.gradient import SLAB, stencil
 from minkvox import (
     Ball,
     BallKernel,
@@ -184,6 +185,24 @@ def test_slab_sums_match_whole_grid_reference():
                             assert abs(s - s_ref) <= 1e-13 * s_ref, case
                             scale = np.abs(w_ref).max()
                             assert np.abs(w.mat - w_ref).max() <= 1e-13 * scale, case
+
+
+def test_filtered_sums_with_large_eps_match_whole_grid_stencil():
+    # at eps_rel = 0.5 every weight depends on max |g| at first order, so a
+    # wrong gmax from the first slab pass moves W far beyond the tolerance
+    rng = np.random.default_rng(15)
+    cases = ((displaced_ball(8, 2), BallKernel(1.2)),
+             (random_grid(rng, (2 * SLAB + 3, 6, 5), h=0.7), GaussianKernel(0.8)))
+    for g, kernel in cases:
+        f, h = fft_convolve(g, kernel), g.spacing
+        grad = stencil(f, 0, f.shape[0], h, "central").reshape(3, -1)
+        norms = np.sqrt(np.einsum("ij,ij->j", grad, grad))
+        keep = grad[:, norms > 0]
+        weights = h**3 / (norms[norms > 0] + 0.5 * norms.max())
+        w_ref = (keep * weights) @ keep.T / 3
+        s, w = estimate_surface_and_tensor(g, kernel, "central", eps_rel=0.5)
+        assert abs(s - norms.sum() * h**3) <= 1e-12 * s, kernel
+        assert np.abs(w.mat - w_ref).max() <= 1e-12 * np.abs(w_ref).max(), kernel
 
 
 def test_ball_tensor_error_band():

@@ -144,11 +144,11 @@ def test_value_one_ulp_off_color_image_rejected(tmp_path):
 
 
 def test_load_memory_peak(tmp_path):
-    # the float64 array and the grid's snapped copy (8 B/voxel each), then one
-    # x-layer's compare and index temporaries (8 B per layer voxel, 1/64 of the
-    # grid each; 16.04 on the lattice, 16.40 on a volume with every voxel off its
-    # color); the 4 B/voxel payload is freed before.  A whole-grid mismatch mask
-    # adds 1 (17.03, 17.41), a full-grid temporary 4-8
+    # the 4 B/voxel payload, the grid's float64 copy of it (8 B/voxel) snapped in
+    # place, and one x-layer's scratch, compare and index temporaries (8 B per
+    # layer voxel, 1/64 of the grid each; 12.17 on the lattice, 12.53 on a volume
+    # with every voxel off its color).  A second whole-grid copy adds 8, a
+    # whole-grid mismatch mask 1
     store_volume(voxelize(fiber_lattice_64(), (64, 64, 64), 1.0, 2), tmp_path / "f.raw")
     store_volume(random_grid(np.random.default_rng(3), (64, 64, 64), depth=2),
                  tmp_path / "r.raw")
@@ -159,7 +159,7 @@ def test_load_memory_peak(tmp_path):
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak / 64**3 <= 16.6, (name, peak / 64**3)
+        assert peak / 64**3 <= 12.7, (name, peak / 64**3)
 
 
 def test_f32_continuous_round_trip_close(tmp_path):
@@ -290,3 +290,19 @@ def test_out_of_range_payload_rejected(tmp_path):
     payload.tofile(f)
     with pytest.raises(VolumeFormatError, match="invariant"):
         load_volume(f)
+
+
+def test_range_is_checked_before_the_color_set(tmp_path):
+    # the grid snaps its own copy in place, so the whole-grid range check must
+    # come first: NaN in the last x-layer, an off-color value in the first
+    f = tmp_path / "n.raw"
+    (tmp_path / "n.raw.json").write_text(json.dumps({
+        "dims": [2, 2, 2], "spacing_um": 1.0, "depth": 2,
+        "dtype": "f32", "order": "x-fastest"}))
+    payload = np.zeros(8, dtype="<f4")
+    payload[0], payload[7] = 0.5, np.nan  # x-fastest: voxels (0, 0, 0) and (1, 1, 1)
+    payload.tofile(f)
+    with pytest.raises(VolumeFormatError, match=r"must lie in \[0, 1\]"):
+        load_volume(f)
+    with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
+        VoxelGrid(payload.reshape((2, 2, 2), order="F"), 1.0, depth=2)

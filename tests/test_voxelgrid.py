@@ -80,6 +80,36 @@ def test_grid_freezes_its_own_copy_not_the_callers_array():
             assert not g.values.any(), depth
 
 
+def test_grid_owns_its_values_for_every_input_layout():
+    # whatever the input's layout, dtype or flags, the grid holds the same bits
+    # in its own C float64 array; the caller's array is never written or frozen
+    rng = np.random.default_rng(15)
+    dims = (3, 20, 70)  # more than one copy block along y and z
+    colors = rng.integers(0, 8, dims) / 7
+    exact = rng.random(dims).astype(np.float32).astype(np.float64)
+    for depth, want in ((2, colors), (None, exact)):
+        image = want.astype(np.float32).astype(np.float64)  # as an f32 payload holds it
+        big = np.zeros((3, 40, 140))
+        big[:, ::2, ::2] = image
+        inputs = {
+            "C float64": image.copy(),
+            "F float32 view": image.astype(np.float32).ravel(order="F").reshape(dims, order="F"),
+            "read-only buffer": np.frombuffer(image.tobytes(), np.float64).reshape(dims),
+            "strided view": big[:, ::2, ::2],
+        }
+        grids = []  # all kept, so that no grid reuses a freed one's memory
+        for name, a in inputs.items():
+            before, writeable = a.copy(), a.flags.writeable
+            g = VoxelGrid(a, 1.0, depth)
+            grids.append(g)
+            case = (depth, name)
+            assert g.values.tobytes() == want.tobytes(), case
+            assert a.tobytes() == before.tobytes() and a.flags.writeable == writeable, case
+            assert g.values.flags.c_contiguous and g.values.dtype == np.float64, case
+            assert not g.values.flags.writeable, case
+            assert not np.may_share_memory(g.values, a), case
+
+
 def test_voxelize_covering_ball_all_ones():
     # radius >= box diagonal: every sample point is inside, any depth
     n = 6
