@@ -13,7 +13,6 @@ from .voxelgrid import (
     Laminate,
     ShapeUnion,
     VoxelGrid,
-    color_set,
     color_steps,
     shape_in_box,
     voxelize,
@@ -25,7 +24,6 @@ from .filters import (
     Kernel,
     fft_convolve,
     kernel_name,
-    sample_kernel,
     support_radius,
 )
 from .minkowski import (
@@ -43,8 +41,6 @@ from .minkowski import (
 from .analytic import (
     BallQuantities,
     FiberSpec,
-    SymTensor4,
-    SYM4_INDEX_ORDER,
     ball_quantities,
     cylinder_normal_tensor,
     cylinder_qnt,

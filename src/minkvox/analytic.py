@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -13,8 +12,6 @@ from .voxelgrid import check_cylinder
 __all__ = [
     "BallQuantities",
     "FiberSpec",
-    "SymTensor4",
-    "SYM4_INDEX_ORDER",
     "ball_quantities",
     "steiner_volume",
     "cylinder_normal_tensor",
@@ -109,56 +106,13 @@ def cylinder_qnt(fiber: FiberSpec) -> SymTensor3:
     return SymTensor3(unit_trace(pp + a * (np.eye(3) - pp)))
 
 
-# fully symmetric rank-4 tensors have 15 independent components; this is the
-# storage order (sorted index quadruples, lexicographic)
-SYM4_INDEX_ORDER = tuple(
-    (i, j, k, l)
-    for i in range(3)
-    for j in range(i, 3)
-    for k in range(j, 3)
-    for l in range(k, 3)
-)
-
-
-@dataclass(frozen=True)
-class SymTensor4:
-    """Totally symmetric rank-4 tensor stored as its 15 independent components."""
-
-    components: np.ndarray
-
-    def __post_init__(self):
-        comp = np.ascontiguousarray(np.asarray(self.components, dtype=np.float64))
-        if comp.shape != (15,):
-            raise ValueError(f"expected 15 components, got shape {comp.shape}")
-        comp.setflags(write=False)
-        object.__setattr__(self, "components", comp)
-
-    @classmethod
-    def from_full(cls, full: np.ndarray) -> "SymTensor4":
-        full = np.asarray(full, dtype=np.float64)
-        if full.shape != (3, 3, 3, 3):
-            raise ValueError(f"expected shape (3, 3, 3, 3), got {full.shape}")
-        return cls(np.array([full[idx] for idx in SYM4_INDEX_ORDER]))
-
-    def as_array(self) -> np.ndarray:
-        """Expand to the full (3, 3, 3, 3) array."""
-        full = np.empty((3, 3, 3, 3))
-        for comp, (i, j, k, l) in zip(self.components, SYM4_INDEX_ORDER):
-            for perm in set(itertools.permutations((i, j, k, l))):
-                full[perm] = comp
-        return full
-
-
-def fiber_system_tensors(
-    fibers,
-) -> tuple[SymTensor3, SymTensor4, SymTensor3, SymTensor3]:
+def fiber_system_tensors(fibers) -> tuple[SymTensor3, SymTensor3, SymTensor3]:
     """Orientation and interface tensors of a straight-fiber system.
 
-    Returns ``(A, A4, W, qnt)`` with the second- and fourth-order orientation
-    averages A = <p p^T> and A4 = <p p p p>, the summed interface tensor
-    W = sum_i W(fiber_i) and its unit-trace normalization.  Fibers are summed
-    in a canonical order, so the result is exactly invariant under input
-    permutations.
+    Returns ``(A, W, qnt)`` with the orientation average A = <p p^T>, the
+    summed interface tensor W = sum_i W(fiber_i) and its unit-trace
+    normalization.  Fibers are summed in a canonical order, so the result is
+    exactly invariant under input permutations.
     """
     fibers = list(fibers)
     if not fibers:
@@ -166,15 +120,12 @@ def fiber_system_tensors(
     fibers.sort(key=lambda f: (tuple(f.axis), f.length, f.diameter))
 
     a_mat = np.zeros((3, 3))
-    a4_full = np.zeros((3, 3, 3, 3))
     w_mat = np.zeros((3, 3))
     for f in fibers:
         p = np.asarray(f.axis, dtype=np.float64)
-        pp = np.outer(p, p)
-        a_mat += pp
-        a4_full += np.einsum("i,j,k,l->ijkl", p, p, p, p)
+        a_mat += np.outer(p, p)
         w_mat += cylinder_normal_tensor(f).mat
     n = len(fibers)
     w = SymTensor3(w_mat)
     qnt = SymTensor3(unit_trace(w_mat))
-    return SymTensor3(a_mat / n), SymTensor4.from_full(a4_full / n), w, qnt
+    return SymTensor3(a_mat / n), w, qnt

@@ -36,6 +36,17 @@ class ConvergenceRow:
     seconds: float
 
 
+def _references(diameter: float, fiber: FiberSpec | None):
+    """V, S, W and QNT of the ball of this diameter, or of the fiber."""
+    if fiber is None:
+        q = ball_quantities(diameter / 2)
+        return q.volume, q.surface_area, q.normal_tensor, q.qnt
+    length = fiber.length
+    v_ref = np.pi * (diameter / 2) ** 2 * length
+    s_ref = np.pi * diameter * length + np.pi * diameter**2 / 2
+    return v_ref, s_ref, cylinder_normal_tensor(fiber), cylinder_qnt(fiber)
+
+
 def run_convergence(
     shape: str,
     diameter: float,
@@ -55,12 +66,15 @@ def run_convergence(
     ``(L + D, 2D, 2D)``.  ``displacement`` shifts the body center away from
     the box center, in physical units, so sub-voxel placement effects can be
     probed.  Rows come back sorted by (D/h, depth, kernel).  Raises
-    ValueError for a resolution that is not positive and finite or a voxel
-    size D/(D/h) outside ``SPACING_RANGE_UM``, and DegenerateImageError when
-    a sweep point voxelizes to an image without interfaces.
+    ValueError for a box factor or a resolution that is not positive and
+    finite or a voxel size D/(D/h) outside ``SPACING_RANGE_UM``, and
+    DegenerateImageError when a sweep point voxelizes to an image without
+    interfaces.
     """
     if shape not in ("ball", "cylinder"):
         raise ValueError(f"shape must be 'ball' or 'cylinder', got {shape!r}")
+    if not 0 < box_factor < np.inf:
+        raise ValueError(f"box factor must be positive and finite, got {box_factor}")
     disp = np.asarray(displacement, dtype=float)
     lo, hi = SPACING_RANGE_UM
     rows = []
@@ -74,22 +88,18 @@ def run_convergence(
             raise ValueError(f"voxel size D/(D/h) = {h} um is outside [{lo:g}, {hi:g}] um")
         if shape == "ball":
             box = (box_factor,) * 3
-            refs = ball_quantities(diameter / 2)
-            v_ref, s_ref = refs.volume, refs.surface_area
-            w_ref, q_ref = refs.normal_tensor, refs.qnt
+            fiber = None
             body_at = partial(Ball, radius=diameter / 2)
         else:
-            length = aspect * diameter
             box = (aspect + 1, 2, 2)
-            fiber = FiberSpec((1.0, 0.0, 0.0), length, diameter)
-            v_ref = np.pi * (diameter / 2) ** 2 * length
-            s_ref = np.pi * diameter * length + np.pi * diameter**2 / 2
-            w_ref, q_ref = cylinder_normal_tensor(fiber), cylinder_qnt(fiber)
-            body_at = partial(Cylinder, axis=fiber.axis, length=length, diameter=diameter)
+            fiber = FiberSpec((1.0, 0.0, 0.0), aspect * diameter, diameter)
+            body_at = partial(Cylinder, axis=fiber.axis, length=fiber.length, diameter=diameter)
         dims = tuple(int(round(b * res)) for b in box)
         body = body_at(tuple(np.asarray(dims) * h / 2 + disp))
         for p in depths:
+            # voxelized first: its layer check refuses a box whose references overflow
             grid = voxelize(body, dims, h, depth=p)
+            v_ref, s_ref, w_ref, q_ref = _references(diameter, fiber)
             for kernel in kernels:
                 start = time.perf_counter()
                 summary = analyze(grid, kernel=kernel, scheme=scheme, eps_rel=eps_rel)

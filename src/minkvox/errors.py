@@ -1,5 +1,12 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "VolumeFormatError",
+    "NumericalError",
+    "DegenerateImageError",
+    "KernelSupportError",
+]
+
 
 class VolumeFormatError(Exception):
     """Raised when a volume file or its sidecar cannot be parsed."""

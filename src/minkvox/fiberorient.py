@@ -35,7 +35,11 @@ from .gradient import SLAB, stencil
 from .minkowski import SymTensor3, unit_trace
 from .voxelgrid import VoxelGrid
 
-__all__ = ["OrientationResult", "structure_tensor_orientation"]
+__all__ = [
+    "OrientationResult",
+    "structure_tensor_orientation",
+    "DEFAULT_MASK_THRESHOLD_REL",
+]
 
 DEFAULT_MASK_THRESHOLD_REL = 1e-3
 EIGENVALUE_TIE_REL = 1e-12

@@ -28,7 +28,6 @@ __all__ = [
     "Kernel",
     "kernel_name",
     "support_radius",
-    "sample_kernel",
     "kernel_transfer",
     "field_buffer",
     "apply_transfer",
@@ -78,9 +77,13 @@ def support_radius(kernel: Kernel, spacing: float) -> float:
 def _box_samples(kernel: Kernel, dims, spacing: float):
     """Normalized samples on the support box and, per axis, their grid indices.
 
-    The box offsets run 0..r, -r..-1 with r = int(reach).  Summing the integer
-    squares before scaling keeps the samples bitwise invariant under all 48
-    cube symmetries.
+    The box offsets run 0..r, -r..-1 with r = int(reach).  A voxel center is
+    in the support when its integer squared offset, in voxels, is at most
+    ``(kernel.reach * kernel.sigma)**2``, so the same points are kept at every
+    h.  Summing the integer squares before scaling keeps the samples bitwise
+    invariant under all 48 cube symmetries.  Raises KernelSupportError if the
+    radius in voxels is not below half the shortest edge, or if (h sigma)^3
+    or its reciprocal is not a finite nonzero float.
     """
     if kernel is None:
         raise ValueError("cannot sample the identity kernel (None)")
@@ -115,24 +118,6 @@ def _box_samples(kernel: Kernel, dims, spacing: float):
     if total <= 0:
         raise NumericalError("sampled kernel has no mass")
     return vals / total, [off % n for n in dims]
-
-
-def sample_kernel(kernel: Kernel, dims, spacing: float) -> np.ndarray:
-    """Sample a kernel at the voxel centers of a periodic grid.
-
-    Returns the raw kernel values in wrap-around layout, renormalized so that
-    ``values.sum() * spacing**3 == 1`` up to round-off.  A voxel center is
-    in the support when its integer squared offset from the origin, in
-    voxels, is at most ``(kernel.reach * kernel.sigma)**2``, so the same
-    points are kept at every h; they are sampled on the support's bounding
-    box and scattered into zeros.  Raises KernelSupportError if that radius,
-    in voxels, is not below half the shortest edge, or if (h sigma)^3 or its
-    reciprocal is not a finite nonzero float.
-    """
-    box, index = _box_samples(kernel, dims, spacing)
-    vals = np.zeros(tuple(int(n) for n in dims))
-    vals[np.ix_(*index)] = box
-    return vals
 
 
 def kernel_transfer(kernel: Kernel, dims, spacing: float):

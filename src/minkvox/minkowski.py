@@ -39,6 +39,7 @@ __all__ = [
     "eigenvalue_ratio",
     "relative_tensor_error",
     "analyze",
+    "DEFAULT_EPS_REL",
 ]
 
 DEFAULT_EPS_REL = 1e-12

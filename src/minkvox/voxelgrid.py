@@ -13,7 +13,6 @@ __all__ = [
     "Laminate",
     "ShapeUnion",
     "color_steps",
-    "color_set",
     "shape_in_box",
     "voxelize",
     "check_cylinder",
@@ -38,12 +37,6 @@ def color_steps(depth: int) -> int:
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
     return 1 if depth == 1 else depth**3 - 1
-
-
-def color_set(depth: int) -> np.ndarray:
-    """All admissible gray values of a depth-p image, ascending."""
-    m = color_steps(depth)
-    return np.arange(m + 1) / m
 
 
 @dataclass(frozen=True)
@@ -116,10 +109,6 @@ class VoxelGrid:
     def mean(self) -> float:
         """Mean gray value, i.e. the volume fraction of the image."""
         return float(self.values.mean())
-
-    def box(self) -> np.ndarray:
-        """Physical edge lengths of the periodic box."""
-        return np.asarray(self.dims) * self.spacing
 
 
 # ---------------------------------------------------------------------------

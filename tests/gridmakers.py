@@ -19,7 +19,7 @@ from minkvox import (
     color_steps,
     voxelize,
 )
-from minkvox.filters import _transfer_block, kernel_transfer
+from minkvox.filters import _box_samples, _transfer_block, kernel_transfer
 
 # Sub-voxel ball displacement, in micrometers.  Breaks all lattice mirror
 # symmetries so that discretization errors do not cancel by accident; at
@@ -142,9 +142,23 @@ def roll_gradient(vals: np.ndarray, h: float, scheme: str) -> np.ndarray:
     return out
 
 
+def sampled_kernel(kernel, dims, h: float) -> np.ndarray:
+    """The normalized kernel samples scattered into a zero grid, peak at index (0, 0, 0)."""
+    box, index = _box_samples(kernel, dims, h)
+    vals = np.zeros(tuple(int(n) for n in dims))
+    vals[np.ix_(*index)] = box
+    return vals
+
+
 def whole_transfer(kernel, dims, h: float) -> np.ndarray:
     """The whole-grid transfer of a kernel: the block builder's one block of ny y-rows."""
     return _transfer_block(kernel_transfer(kernel, dims, h), dims[0], slice(0, dims[1]))
+
+
+def color_set(depth: int) -> np.ndarray:
+    """All admissible gray values of a depth-p image, ascending."""
+    m = color_steps(depth)
+    return np.arange(m + 1) / m
 
 
 def quantize(grid: VoxelGrid, depth: int) -> VoxelGrid:

@@ -147,7 +147,7 @@ def test_fiber_array_orientation_and_qnt_band():
     e_a = relative_tensor_error(orient.a_est, SymTensor3(np.diag([1.0, 0.0, 0.0])))
 
     specs = [FiberSpec((1.0, 0.0, 0.0), FIBER_ARRAY_L, FIBER_ARRAY_D)] * 20
-    _, _, _, q_ref = fiber_system_tensors(specs)
+    _, _, q_ref = fiber_system_tensors(specs)
     e_none = relative_tensor_error(analyze(grid, kernel=None).qnt, q_ref)
     e_ball = relative_tensor_error(analyze(grid, kernel=BallKernel(1.2)).qnt, q_ref)
 

@@ -3,9 +3,7 @@ import pytest
 
 from minkvox import (
     FiberSpec,
-    SYM4_INDEX_ORDER,
     SymTensor3,
-    SymTensor4,
     ball_quantities,
     cylinder_normal_tensor,
     cylinder_qnt,
@@ -147,7 +145,7 @@ def test_fiber_beta_is_inverse_aspect():
 
 def test_unidirectional_system():
     fibers = [fiber(EX, 10.0) for _ in range(7)]
-    a, a4, w, qnt = fiber_system_tensors(fibers)
+    a, w, qnt = fiber_system_tensors(fibers)
     assert np.array_equal(a.mat, np.diag([1.0, 0.0, 0.0]))
     single = cylinder_normal_tensor(fibers[0]).mat
     # summed tensor: repeated addition rounds differently than one multiply
@@ -157,14 +155,14 @@ def test_unidirectional_system():
 
 def test_orthogonal_triple_system_is_isotropic():
     fibers = [fiber(EX, 10.0), fiber(EY, 10.0), fiber(EZ, 10.0)]
-    a, a4, w, qnt = fiber_system_tensors(fibers)
+    a, w, qnt = fiber_system_tensors(fibers)
     assert np.abs(a.mat - np.eye(3) / 3).max() <= 1e-15
     assert np.abs(qnt.mat - np.eye(3) / 3).max() <= 1e-15
 
 
 def test_two_fiber_system_qnt():
     fibers = [fiber(EX, 10.0), fiber(EY, 10.0)]
-    _, _, _, qnt = fiber_system_tensors(fibers)
+    _, _, qnt = fiber_system_tensors(fibers)
     d = np.diag(qnt.mat)
     assert d[0] == 11 / 42 and d[1] == 11 / 42
     assert abs(d[2] - 20 / 42) <= 1e-15
@@ -185,54 +183,10 @@ def test_system_permutation_invariant():
         np.random.default_rng(seed).shuffle(shuffled)
         got = fiber_system_tensors(shuffled)
         assert np.array_equal(ref[0].mat, got[0].mat)
-        assert np.array_equal(ref[1].components, got[1].components)
+        assert np.array_equal(ref[1].mat, got[1].mat)
         assert np.array_equal(ref[2].mat, got[2].mat)
-        assert np.array_equal(ref[3].mat, got[3].mat)
 
 
 def test_empty_system_rejected():
     with pytest.raises(ValueError):
         fiber_system_tensors([])
-
-
-# ---------------------------------------------------------------------------
-# fourth-order moments
-
-def test_sym4_index_order():
-    assert len(SYM4_INDEX_ORDER) == 15
-    assert SYM4_INDEX_ORDER[0] == (0, 0, 0, 0)
-    assert SYM4_INDEX_ORDER[-1] == (2, 2, 2, 2)
-    assert all(tuple(sorted(q)) == q for q in SYM4_INDEX_ORDER)
-    assert list(SYM4_INDEX_ORDER) == sorted(SYM4_INDEX_ORDER)
-
-
-def test_sym4_round_trip_and_symmetry():
-    rng = np.random.default_rng(93)
-    comp = rng.normal(size=15)
-    t = SymTensor4(comp)
-    full = t.as_array()
-    # full expansion is totally symmetric
-    assert np.array_equal(full, np.transpose(full, (1, 0, 2, 3)))
-    assert np.array_equal(full, np.transpose(full, (0, 1, 3, 2)))
-    assert np.array_equal(full, np.transpose(full, (2, 3, 0, 1)))
-    back = SymTensor4.from_full(full)
-    assert np.array_equal(back.components, t.components)
-
-
-def test_sym4_contracts_to_second_moment():
-    rng = np.random.default_rng(94)
-    fibers = []
-    for _ in range(9):
-        ax = rng.normal(size=3)
-        ax /= np.linalg.norm(ax)
-        fibers.append(FiberSpec(axis=ax, length=8.0, diameter=1.0))
-    a, a4, _, _ = fiber_system_tensors(fibers)
-    contracted = np.einsum("ijkk->ij", a4.as_array())
-    assert np.abs(contracted - a.mat).max() <= 1e-14
-
-
-def test_sym4_single_fiber_components():
-    _, a4, _, _ = fiber_system_tensors([fiber(EX, 5.0)])
-    expect = np.zeros(15)
-    expect[SYM4_INDEX_ORDER.index((0, 0, 0, 0))] = 1.0
-    assert np.array_equal(a4.components, expect)

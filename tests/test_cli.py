@@ -329,6 +329,22 @@ def test_convergence_non_positive_resolution_exits_1(capsys):
         assert "resolutions" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("--diameter", 8, "--resolutions", 4, "--box-factor", "inf"),
+    ("--diameter", 8, "--resolutions", 4, "--box-factor", "nan"),
+    ("--diameter", "1e200", "--resolutions", "1e185", "--shape", "ball"),
+    ("--diameter", "1e200", "--resolutions", "1e185", "--shape", "cylinder"),
+])
+def test_convergence_out_of_range_box_exits_1(capsys, argv):
+    # the box factor is checked up front; an oversized box is refused by
+    # voxelize before the references, whose squares would overflow
+    rc, out, err = _run(capsys, "convergence", *argv)
+    assert rc == 1 and out == "", err
+    assert err.startswith("minkvox: error:") and err.count("\n") == 1
+    if "--box-factor" in argv:
+        assert "box factor" in err
+
+
 def test_convergence_degenerate_sweep_point_exits_3(capsys):
     # D/h = 1 gives a 2^3 box whose voxel centers all miss the ball
     rc, out, err = _run(capsys, "convergence", "--diameter", 8, "--resolutions", 1)

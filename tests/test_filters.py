@@ -11,7 +11,6 @@ from minkvox import (
     analyze,
     fft_convolve,
     kernel_name,
-    sample_kernel,
     support_radius,
     voxelize,
 )
@@ -28,6 +27,7 @@ from gridmakers import (
     cube_symmetries,
     fiber_lattice_64,
     random_grid,
+    sampled_kernel,
     shift,
     whole_transfer,
 )
@@ -52,14 +52,14 @@ def test_kernel_validation_and_names():
 def test_sample_kernel_normalization():
     for kern in KERNELS:
         for h in (0.5, 1.0, 2.0):
-            vals = sample_kernel(kern, (24, 20, 22), h)
+            vals = sampled_kernel(kern, (24, 20, 22), h)
             assert abs(vals.sum() * h**3 - 1.0) <= 1e-12, (kern, h)
             assert vals.min() >= 0.0
 
 
 def test_ball_kernel_support_sigma_1_2():
     # radius 1.2 contains exactly the origin and the six face neighbors
-    vals = sample_kernel(BallKernel(1.2), (32, 32, 32), 1.0)
+    vals = sampled_kernel(BallKernel(1.2), (32, 32, 32), 1.0)
     nz = np.argwhere(vals > 0)
     assert len(nz) == 7
     offs = {tuple(np.where(i > 16, i - 32, i)) for i in nz}
@@ -70,22 +70,22 @@ def test_ball_kernel_support_sigma_1_2():
 
 
 def test_ball_kernel_subvoxel_degenerates_to_identity():
-    vals = sample_kernel(BallKernel(0.4), (16, 16, 16), 1.0)
+    vals = sampled_kernel(BallKernel(0.4), (16, 16, 16), 1.0)
     assert vals[0, 0, 0] == 1.0
     assert np.count_nonzero(vals) == 1
 
 
 def test_sample_kernel_support_errors():
     with pytest.raises(KernelSupportError):
-        sample_kernel(GaussianKernel(2.0), (8, 32, 32), 1.0)  # 3*2 >= 4
+        sampled_kernel(GaussianKernel(2.0), (8, 32, 32), 1.0)  # 3*2 >= 4
     with pytest.raises(KernelSupportError):
-        sample_kernel(BallKernel(4.0), (8, 32, 32), 1.0)
+        sampled_kernel(BallKernel(4.0), (8, 32, 32), 1.0)
     # fits: radius strictly below half the shortest edge
-    sample_kernel(BallKernel(3.9), (8, 32, 32), 1.0)
+    sampled_kernel(BallKernel(3.9), (8, 32, 32), 1.0)
     # decided in voxels: 3 * 1.5 = 9 / 2 used to fit at h = 0.7 by round-off
     for h in (0.3, 0.7, 1e-20, 1e20):
         with pytest.raises(KernelSupportError):
-            sample_kernel(GaussianKernel(1.5), (9, 9, 9), h)
+            sampled_kernel(GaussianKernel(1.5), (9, 9, 9), h)
 
 
 def test_sample_kernel_width_out_of_float_range(recwarn):
@@ -93,11 +93,11 @@ def test_sample_kernel_width_out_of_float_range(recwarn):
     for kern, h in ((BallKernel(1e-110), 1.0), (GaussianKernel(1e-160), 1.0),
                     (GaussianKernel(1e-90), 1e-20), (BallKernel(1e-103), 1.0)):
         with pytest.raises(KernelSupportError, match="h\\*sigma"):
-            sample_kernel(kern, (8, 8, 8), h)
+            sampled_kernel(kern, (8, 8, 8), h)
     assert not recwarn.list
     # narrow but in range: the ball degenerates to the identity, unchanged
     for sigma in (1e-30, 1e-100):
-        vals = sample_kernel(BallKernel(sigma), (8, 8, 8), 1.0)
+        vals = sampled_kernel(BallKernel(sigma), (8, 8, 8), 1.0)
         assert vals[0, 0, 0] == 1.0 and np.count_nonzero(vals) == 1
 
 
@@ -106,9 +106,9 @@ def test_sample_kernel_support_independent_of_spacing():
     # points lie exactly on both truncation spheres; decided on the physical
     # r^2 = off^2 h^2, they used to drop out at h = 0.3, 0.7 and 1e-20
     for kern, count in ((GaussianKernel(2.0), 925), (BallKernel(3.0), 123)):
-        ref = sample_kernel(kern, (24, 24, 24), 1.0)
+        ref = sampled_kernel(kern, (24, 24, 24), 1.0)
         for h in (0.3, 0.7, 1.0, 3.0, 1e-20, 1e20):
-            vals = sample_kernel(kern, (24, 24, 24), h)
+            vals = sampled_kernel(kern, (24, 24, 24), h)
             assert np.count_nonzero(vals) == count, (kern, h)
             assert np.abs(vals * h**3 - ref).max() <= 1e-15, (kern, h)
 
@@ -118,7 +118,7 @@ def test_sampled_kernels_invariant_under_cube_group():
     # periodic origin (i -> -i mod n); sampled kernels must be bitwise fixed
     dims = (16, 16, 16)
     for kern in KERNELS:
-        vals = sample_kernel(kern, dims, 1.0)
+        vals = sampled_kernel(kern, dims, 1.0)
         rev = (16 - np.arange(16)) % 16
         for mat, _ in cube_symmetries():
             perm = [int(np.argmax(np.abs(mat[k]))) for k in range(3)]
@@ -140,7 +140,7 @@ def test_kernel_transfer_matches_whole_grid_rfftn():
     for kern, dims in cases:
         for h in (0.7, 2.3):
             transfer = whole_transfer(kern, dims, h)
-            ref = np.fft.rfftn(sample_kernel(kern, dims, h)) * h**3
+            ref = np.fft.rfftn(sampled_kernel(kern, dims, h)) * h**3
             assert transfer.shape == ref.shape, (kern, dims, h)
             assert np.abs(transfer - ref).max() <= 1e-15, (kern, dims, h)
             assert abs(transfer[0, 0, 0] - 1.0) <= 1e-15, (kern, dims, h)
@@ -304,7 +304,7 @@ def test_ball_filter_laminate_profile_is_linear_ramp():
 
 
 def test_gaussian_truncation_tail_is_zero():
-    vals = sample_kernel(GaussianKernel(1.0), (32, 32, 32), 1.0)
+    vals = sampled_kernel(GaussianKernel(1.0), (32, 32, 32), 1.0)
     # offset (4, 0, 0) lies beyond the 3-sigma cut
     assert vals[4, 0, 0] == 0.0
     assert vals[3, 0, 0] > 0.0

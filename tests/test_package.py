@@ -21,3 +21,14 @@ def test_no_relative_import_of_a_private_name():
             if isinstance(node, ast.ImportFrom) and node.level > 0:
                 private = [a.name for a in node.names if a.name.startswith("_")]
                 assert not private, (path.name, node.module, private)
+
+
+def test_names_shared_between_modules_are_in_the_owners_all():
+    # a deletion cannot leave a stale import or re-export behind
+    for path in sorted(Path(minkvox.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level > 0 and node.module:
+                owner = importlib.import_module(f"minkvox.{node.module}")
+                unlisted = [a.name for a in node.names
+                            if a.name not in getattr(owner, "__all__", ())]
+                assert not unlisted, (path.name, node.module, unlisted)

@@ -8,14 +8,13 @@ from minkvox import (
     Ball,
     VolumeFormatError,
     VoxelGrid,
-    color_set,
     load_volume,
     store_volume,
     voxelize,
 )
 from minkvox.voxelgrid import SPACING_RANGE_UM
 
-from gridmakers import displaced_ball, fiber_lattice_64, random_grid
+from gridmakers import color_set, displaced_ball, fiber_lattice_64, random_grid
 
 
 def test_u8_round_trip_bit_exact(tmp_path):

@@ -9,13 +9,19 @@ from minkvox import (
     Laminate,
     ShapeUnion,
     VoxelGrid,
-    color_set,
     color_steps,
     shape_in_box,
     voxelize,
 )
 
-from gridmakers import cube_symmetries, displaced_ball, fiber_lattice_64, quantize, shift
+from gridmakers import (
+    color_set,
+    cube_symmetries,
+    displaced_ball,
+    fiber_lattice_64,
+    quantize,
+    shift,
+)
 
 
 def test_color_set_sizes():
@@ -174,7 +180,7 @@ def test_voxelize_mean_error_improves_with_depth():
         errs = {}
         for p in (1, 4):
             g = displaced_ball(res, p)
-            errs[p] = abs(g.mean() - exact / float(np.prod(g.box())))
+            errs[p] = abs(g.mean() - exact / float(np.prod(np.asarray(g.dims) * g.spacing)))
         assert errs[4] <= errs[1], (res, errs)
 
 
