@@ -174,13 +174,13 @@ def minor_projector_sum(comps: np.ndarray) -> np.ndarray:
         t *= 2
         np.clip(np.divide(det, t, out=t), -1.0, 1.0, out=t)
         np.arccos(t, out=t)
-        t /= 3
-        p *= 2
+        t /= 3  # phi in [0, pi / 3], where sin(phi) = sqrt(1 - cos(phi)^2) holds in sign
         np.multiply(np.cos(t, out=u), p, out=lam_max)
-        lam_max += q
-        t += 2 * np.pi / 3
-        np.multiply(np.cos(t, out=u), p, out=lam_min)
-        lam_min += q
+        np.add(q, np.multiply(lam_max, 2, out=lam_max), out=lam_max)
+        # 2 cos(phi + 2 pi / 3) = -(cos(phi) + sqrt(3) sin(phi)), with one np.cos fewer
+        np.sqrt(np.subtract(1, np.multiply(u, u, out=t), out=t), out=t)
+        np.multiply(np.add(np.multiply(t, np.sqrt(3), out=t), u, out=t), p, out=lam_min)
+        np.subtract(q, lam_min, out=lam_min)
         np.multiply(q, 3, out=u)  # the gap lam_mid - lam_min, lam_mid = 3 q - lam_max - lam_min
         u -= lam_max
         u -= lam_min

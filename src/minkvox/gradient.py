@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["SCHEMES", "SLAB", "stencil"]
+__all__ = ["SCHEMES", "SLAB", "stencil", "wrap_pieces"]
 
 SCHEMES = ("central", "forward", "backward")
 SLAB = 4  # x-layers per stencil call in minkowski and fiberorient; bounds temporaries
@@ -55,10 +55,16 @@ def stencil(f: np.ndarray, x0: int, x1: int, h: float, scheme: str) -> np.ndarra
     out = np.empty((3,) + slab.shape)
     for axis, (src, lo) in enumerate(((f, x0), (slab, 0), (slab, 0))):
         src, dst = np.moveaxis(src, axis, 0), np.moveaxis(out[axis], axis, 0)  # axis first
-        n, hi = len(src), lo + len(dst)
-        cuts = sorted({lo, hi} | {c for c in (1, n - 1) if lo < c < hi})  # pieces without wrap
-        for a, b in zip(cuts, cuts[1:]):
-            i, j = (a + up) % n, (a + down) % n
-            np.subtract(src[i:i + b - a], src[j:j + b - a], out=dst[a - lo:b - lo])
+        for piece, (i, j) in wrap_pieces(len(src), lo, lo + len(dst), up, down):
+            np.subtract(src[i], src[j], out=dst[piece])
         out[axis] /= div * h
     return out
+
+
+def wrap_pieces(n: int, lo: int, hi: int, *shifts: int):
+    """The periodic shifted read: split lo:hi (at most n long) of a periodic axis of
+    length n into pieces over which index + d wraps for no d in ``shifts``.  Yields
+    ``(piece, reads)``: the piece counted from lo, and per shift the slice it reads."""
+    cuts = sorted({lo, hi} | {c for c in (-d % n for d in shifts) if lo < c < hi})
+    for a, b in zip(cuts, cuts[1:]):
+        yield slice(a - lo, b - lo), [slice((a + d) % n, (a + d) % n + b - a) for d in shifts]

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import Decimal
 
 import numpy as np
 
@@ -271,7 +272,8 @@ def voxelize(shape, dims, spacing: float, depth: int = 1) -> VoxelGrid:
     nx, ny, nz = dims
     layer = nx * ny * p**3  # sub-samples in one voxel layer, the smallest z-chunk
     if layer > 1 << 26:  # its shape tests take 8-32 B per sample
-        raise ValueError(f"depth {p} needs {layer} sub-samples per voxel layer, above 2^26")
+        count = Decimal(layer)  # beyond the float range for absurd dims
+        raise ValueError(f"depth {p} needs {count:.3g} sub-samples per voxel layer, above 2^26")
     fine = spacing / p
     coords = [(np.arange(n * p) + 0.5) * fine for n in dims]
     boxes = []

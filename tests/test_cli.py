@@ -345,6 +345,16 @@ def test_convergence_out_of_range_box_exits_1(capsys, argv):
         assert "box factor" in err
 
 
+def test_convergence_oversized_box_error_line_is_short(capsys):
+    # the refused layer holds about 2e370 sub-samples; the count prints in
+    # three digits, not as the whole integer
+    rc, out, err = _run(capsys, "convergence", "--diameter", "1e200",
+                        "--resolutions", "1e185")
+    assert rc == 1 and out == "", err
+    assert err.startswith("minkvox: error:") and err.count("\n") == 1
+    assert len(err) < 200, err
+
+
 def test_convergence_degenerate_sweep_point_exits_3(capsys):
     # D/h = 1 gives a 2^3 box whose voxel centers all miss the ball
     rc, out, err = _run(capsys, "convergence", "--diameter", 8, "--resolutions", 1)

@@ -298,7 +298,7 @@ def test_analyze_translation_invariant():
 def test_analyze_cube_equivariant():
     rng = np.random.default_rng(71)
     g = quantize(random_grid(rng, (8, 8, 8)), 3)
-    for kern in (None, GaussianKernel(1.2)):
+    for kern in (None, GaussianKernel(1.2), BallKernel(1.2)):
         base = analyze(g, kernel=kern)
         scale = base.normal_tensor.frobenius()
         for mat, apply in cube_symmetries():
