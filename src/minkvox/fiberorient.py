@@ -132,7 +132,6 @@ def structure_tensor_orientation(
     for lo in range(0, keep.size, _CHUNK):
         chunk = np.compress(keep[lo:lo + _CHUNK], flat[:, lo:lo + _CHUNK], axis=1)
         a_mat += minor_projector_sum(chunk)
-    a_mat = (a_mat + a_mat.T) / 2
     return OrientationResult(a_est=SymTensor3(unit_trace(a_mat)), masked_voxels=count,
                              total_voxels=int(np.prod(dims)))
 

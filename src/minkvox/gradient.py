@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 __all__ = ["SCHEMES", "SLAB", "stencil", "wrap_pieces"]
@@ -14,30 +12,8 @@ SLAB = 4  # x-layers per stencil call in minkowski and fiberorient; bounds tempo
 _STENCILS = {"central": (1, -1, 2), "forward": (1, 0, 1), "backward": (0, -1, 1)}
 
 
-@dataclass(frozen=True)
-class VectorField:  # kept only because perfbench/tracer.py imports it to patch norms
-    """Per-voxel 3-vectors on the same periodic lattice as a VoxelGrid."""
-
-    data: np.ndarray  # (nx, ny, nz, 3)
-    spacing: float
-    scheme: str
-
-    def __post_init__(self):
-        data = np.ascontiguousarray(np.asarray(self.data, dtype=np.float64))
-        if data.ndim != 4 or data.shape[3] != 3:
-            raise ValueError(f"expected shape (nx, ny, nz, 3), got {data.shape}")
-        if not self.spacing > 0:
-            raise ValueError(f"spacing must be positive, got {self.spacing}")
-        if self.scheme not in SCHEMES:
-            raise ValueError(f"unknown scheme {self.scheme!r}, expected one of {SCHEMES}")
-        if not np.isfinite(data).all():
-            raise ValueError("vector field contains non-finite entries")
-        data.setflags(write=False)
-        object.__setattr__(self, "data", data)
-
-    def norms(self) -> np.ndarray:
-        """Euclidean norm per voxel."""
-        return np.sqrt(np.einsum("...i,...i->...", self.data, self.data))
+class VectorField:
+    """A bare name: the benchmark's tracer imports it and skips its missing ``norms``."""
 
 
 def stencil(f: np.ndarray, x0: int, x1: int, h: float, scheme: str) -> np.ndarray:

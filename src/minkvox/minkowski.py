@@ -20,11 +20,12 @@ and the outer products of nonzero gradients); no whole-grid gradient is held.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateImageError
+from .errors import DegenerateImageError, NumericalError
 from .filters import Kernel, fft_convolve
 from .gradient import SLAB, stencil
 from .voxelgrid import VoxelGrid
@@ -59,9 +60,10 @@ class SymTensor3:
         if not np.isfinite(mat).all():
             raise ValueError("tensor entries must be finite")
         scale = max(float(np.abs(mat).max()), 1.0)
-        if np.abs(mat - mat.T).max() > 1e-8 * scale:
+        half = mat / 2  # halves first, so that entries near the float range do not overflow
+        if np.abs(half - half.T).max() > 5e-9 * scale:
             raise ValueError("matrix is not symmetric")
-        mat = np.ascontiguousarray((mat + mat.T) / 2)
+        mat = np.ascontiguousarray(half + half.T)
         mat.setflags(write=False)
         object.__setattr__(self, "mat", mat)
 
@@ -116,7 +118,9 @@ def estimate_surface_and_tensor(
         g = stencil(f, x0, min(x0 + SLAB, f.shape[0]), h, scheme).reshape(3, -1)
         return g, np.einsum("ij,ij->j", g, g)
 
-    gmax = np.sqrt(max(float(sq.max()) for _, sq in map(slab, starts)))  # bitwise max |g|
+    gmax = math.sqrt(max(float(sq.max()) for _, sq in map(slab, starts)))  # bitwise max |g|
+    if not math.isfinite(eps := eps_rel * gmax):
+        raise ValueError(f"eps_rel * max|g| = {eps_rel} * {gmax} overflows; lower eps_rel")
     total, mat = 0.0, np.zeros((3, 3))
     for x0 in starts:
         g, norms = slab(x0)
@@ -124,8 +128,10 @@ def estimate_surface_and_tensor(
         keep = norms > 0.0
         # g sqrt(w) times its transpose is the weighted sum; numpy runs x @ x.T as syrk
         g = np.compress(keep, g, axis=1)
-        g *= np.sqrt(h**3 / (np.compress(keep, norms) + eps_rel * gmax))
+        g *= np.sqrt(h**3 / (np.compress(keep, norms) + eps))
         mat += g @ g.T
+    if total > 0 and not np.trace(mat) > 0:  # S > 0 implies tr W > 0 in exact arithmetic
+        raise NumericalError("the interface tensor underflowed to zero; lower eps_rel")
     return total * h**3, SymTensor3(mat / 3.0)
 
 
@@ -162,11 +168,19 @@ def eigenvalue_ratio(tensor: SymTensor3) -> float:
 
 
 def relative_tensor_error(estimate: SymTensor3, reference: SymTensor3) -> float:
-    """Relative Frobenius deviation |ref - est|_F / |ref|_F."""
-    denom = reference.frobenius()
+    """Relative Frobenius deviation |ref - est|_F / |ref|_F, of matrices scaled to
+    entries below 1 by powers of two, which is exact: no entry overflows or squares
+    to zero.  An error beyond the float range raises ValueError."""
+    e_ref, e_est = (int(np.frexp(np.abs(t.mat).max())[1]) for t in (reference, estimate))
+    e = max(e_ref, e_est)
+    denom = float(np.linalg.norm(np.ldexp(reference.mat, -e_ref)))
     if denom == 0.0:
         raise ValueError("reference tensor must be nonzero")
-    return float(np.linalg.norm(reference.mat - estimate.mat)) / denom
+    num = float(np.linalg.norm(np.ldexp(reference.mat, -e) - np.ldexp(estimate.mat, -e)))
+    try:
+        return math.ldexp(num / denom, e - e_ref)
+    except OverflowError:
+        raise ValueError("relative tensor error exceeds the float range") from None
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,8 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import stat
 from pathlib import Path
 
 import numpy as np
@@ -38,6 +40,14 @@ _SIDECAR_KEYS = {"dims", "spacing_um", "depth", "dtype", "order"}
 
 def _sidecar_path(path) -> Path:
     return Path(str(path) + ".json")
+
+
+def _regular_size(path) -> int:
+    """Size of ``path`` in bytes; a FIFO, a device or a directory is refused unread."""
+    st = os.stat(path)
+    if not stat.S_ISREG(st.st_mode):
+        raise VolumeFormatError(f"{path} is not a regular file")
+    return st.st_size
 
 
 def store_volume(grid: VoxelGrid, path, dtype: str | None = None) -> None:
@@ -83,15 +93,15 @@ def load_volume(path) -> VoxelGrid:
     """
     sidecar_file = _sidecar_path(path)
     try:
-        text = sidecar_file.read_text()
+        _regular_size(sidecar_file)
+        data = sidecar_file.read_bytes()
     except OSError as exc:
         raise VolumeFormatError(f"cannot read sidecar {sidecar_file}: {exc}") from exc
     try:
-        meta = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise VolumeFormatError(
-            f"malformed sidecar {sidecar_file} at byte {exc.pos}: {exc.msg}"
-        ) from exc
+        meta = json.loads(data.decode())  # JSON text is UTF-8 (RFC 8259)
+    except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, too deep, int too long
+        why = f"at byte {exc.pos}: {exc.msg}" if isinstance(exc, json.JSONDecodeError) else exc
+        raise VolumeFormatError(f"malformed sidecar {sidecar_file}: {why}") from exc
 
     if not isinstance(meta, dict):
         raise VolumeFormatError(f"sidecar {sidecar_file} must hold a JSON object")
@@ -129,20 +139,24 @@ def load_volume(path) -> VoxelGrid:
     np_dtype = _DTYPES[meta["dtype"]]
     # exact integer product: an int64 one wraps to 0 for dims of 2^40
     expected = math.prod(dims) * np_dtype.itemsize
+    # sized before it is opened: a FIFO, a device or an oversized file is refused unread
     try:
-        raw = Path(path).read_bytes()
+        size = _regular_size(path)
+        if size == expected:
+            arr = np.empty(math.prod(dims), np_dtype)
+            with open(path, "rb") as fh:  # a file changed since the check reads short or long
+                size = fh.readinto(arr) + len(fh.read(1))
     except OSError as exc:
         raise VolumeFormatError(f"cannot read payload {path}: {exc}") from exc
-    if len(raw) != expected:
+    if size != expected:
         raise VolumeFormatError(
-            f"payload {path} has {len(raw)} bytes, expected {expected} "
+            f"payload {path} has {size} bytes, expected {expected} "
             f"({dims[0]}x{dims[1]}x{dims[2]} of {meta['dtype']})"
         )
 
-    arr = np.frombuffer(raw, dtype=np_dtype).reshape(dims, order="F")
+    arr = arr.reshape(dims, order="F")
     if meta["dtype"] != "f32":
         arr = arr / np.iinfo(np_dtype).max
-    del raw
     try:
         return VoxelGrid(arr, float(spacing), depth=depth)
     except ValueError as exc:

@@ -107,10 +107,6 @@ class VoxelGrid:
     def dims(self) -> tuple[int, int, int]:
         return self.values.shape
 
-    def mean(self) -> float:
-        """Mean gray value, i.e. the volume fraction of the image."""
-        return float(self.values.mean())
-
 
 # ---------------------------------------------------------------------------
 # analytic shapes

@@ -2,7 +2,8 @@
 
 Drives minkvox.cli.main() in process over malformed sidecars, truncated and
 over-long payloads, and extreme float flags.  A nonzero exit must print
-nothing on stdout and exactly one ``minkvox: error:`` line on stderr.  The
+nothing on stdout and exactly one ``minkvox: error:`` line on stderr; a zero
+exit must raise no RuntimeWarning and report finite numbers only.  The
 flags that size arrays (--dims, --depth, --resolutions, --aspect,
 --box-factor) stay small and fixed, so every example runs on a 12^3 input.
 """
@@ -10,11 +11,12 @@ flags that size arrays (--dims, --depth, --resolutions, --aspect,
 import contextlib
 import io
 import json
+import re
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from minkvox import Ball, load_volume, store_volume, voxelize
@@ -24,6 +26,8 @@ EXTREMES = (0.0, -1.0, 1e-110, -1e-110, 1e110, -1e110,
             float("nan"), float("inf"), float("-inf"))
 # ordinary values too, so that a draw can get past one check to the next
 FLOATS = st.sampled_from(EXTREMES + (0.5, 1.0, 2.0, 5.0))
+# reference tensor entries whose squares overflow or vanish
+REFERENCE = st.sampled_from(EXTREMES + (0.5, 1.0, 1e300, -1e300, 1e-320))
 FUZZ = settings(max_examples=40, database=None, deadline=None)
 
 
@@ -55,6 +59,10 @@ def _run(argv):
     return rc, out.getvalue(), stderr
 
 
+def _not_finite(name):
+    raise AssertionError(f"report holds {name}")
+
+
 def _check(argv):
     rc, out, err = _run(argv)
     assert rc in (0, 1, 2, 3), (argv, rc)
@@ -62,6 +70,14 @@ def _check(argv):
     if rc != 0:
         assert out == "", argv
         assert err.startswith("minkvox: error:") and err.count("\n") == 1, (argv, err)
+    else:
+        assert "RuntimeWarning" not in err, (argv, err)
+        if out.startswith("{"):
+            report = json.loads(out, parse_constant=_not_finite)
+            # S > 0 implies interfaces, so such a report is never degenerate
+            assert not (report.get("degenerate") and report["surface_area"] > 0), argv
+        else:
+            assert not re.search(r"(^|,)-?(nan|inf)(,|$)", out, re.M), (argv, out)
     return rc
 
 
@@ -90,8 +106,15 @@ def test_analyze_flags(volume, kernel, sigma, eps, fmt):
        first_sigma=_optional(FLOATS.map(lambda x: [_flag("--first-sigma", x)])),
        second_sigma=FLOATS.map(lambda x: _flag("--second-sigma", x)),
        mask=_optional(FLOATS.map(lambda x: [_flag("--mask-threshold", x)])),
-       reference=_optional(_floats(6).map(lambda xs: ["--reference"] + xs)),
+       reference=_optional(st.lists(REFERENCE, min_size=6, max_size=6).map(
+           lambda xs: ["--reference"] + [_text(x) for x in xs])),
        fmt=st.sampled_from(("json", "csv")))
+@example(first="ball", second="gaussian", first_sigma=[], second_sigma="--second-sigma=2",
+         mask=[], reference=["--reference"] + [_text(1e300)] + ["0"] * 5, fmt="json")
+@example(first="ball", second="gaussian", first_sigma=[], second_sigma="--second-sigma=2",
+         mask=[], reference=["--reference"] + [_text(1e-320)] + ["0"] * 5, fmt="json")
+@example(first="none", second="ball", first_sigma=[], second_sigma="--second-sigma=2",
+         mask=[], reference=["--reference"] + [_text(-1e300)] * 6, fmt="csv")
 def test_fiber_orient_flags(volume, first, second, first_sigma, second_sigma, mask,
                             reference, fmt):
     _check(["fiber-orient", "--in", volume, "--first-kernel", first, "--second-kernel",
@@ -167,3 +190,37 @@ def test_malformed_volume_files(volume, tmp_path_factory, edits, drop, cut, grow
     path.with_name(path.name + ".json").write_text(sidecar)
     args = ["--second-sigma", 2] if command == "fiber-orient" else []
     _check([command, "--in", path] + args)
+
+
+@FUZZ
+@given(head=st.sampled_from((b"", b"\xff\xfe", b"\xfe\xff\x00{", b"\xef\xbb\xbf{}",
+                             b"\x80", b"[" * 100_000, b'{"dims": ' * 50_000,
+                             b'{"dims": [' + b"1" * 5000 + b"]}")),
+       tail=st.binary(max_size=32),
+       command=st.sampled_from(("analyze", "fiber-orient")))
+def test_sidecar_bytes(volume, tmp_path_factory, head, tail, command):
+    # not UTF-8, nested beyond the parser's recursion limit, or an integer
+    # longer than int() converts
+    path = tmp_path_factory.getbasetemp() / "fuzz-sidecar.raw"
+    path.write_bytes(volume.read_bytes())
+    path.with_name(path.name + ".json").write_bytes(head + tail)
+    args = ["--second-sigma", 2] if command == "fiber-orient" else []
+    assert _check([command, "--in", path] + args) == 2
+
+
+@FUZZ
+@given(spacing=st.sampled_from((1.0, 0.1, 1e-8, 1e-20, 1e20)),
+       eps=st.sampled_from((1e308, 1e300, 1e100, 1e-300, 0.5)),
+       kernel=st.sampled_from(("none", "ball", "gaussian")),
+       fmt=st.sampled_from(("json", "csv")))
+@example(spacing=0.1, eps=1e308, kernel="ball", fmt="json")
+@example(spacing=1e-20, eps=1e300, kernel="ball", fmt="json")
+@example(spacing=1e-8, eps=1e300, kernel="none", fmt="json")
+def test_analyze_eps_at_extreme_spacings(volume, tmp_path_factory, spacing, eps, kernel, fmt):
+    # eps_rel * max |g| can overflow, and h^3 / (|g| + eps) underflow to zero
+    path = tmp_path_factory.getbasetemp() / "fuzz-spacing.raw"
+    meta = json.loads(volume.with_name(volume.name + ".json").read_text())
+    path.write_bytes(volume.read_bytes())
+    path.with_name(path.name + ".json").write_text(json.dumps(dict(meta, spacing_um=spacing)))
+    _check(["analyze", "--in", path, "--kernel", kernel, "--format", fmt,
+            _flag("--eps-rel", eps)])

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from minkvox import BallKernel, SCHEMES, VoxelGrid, fft_convolve
-from minkvox.gradient import VectorField, stencil
+from minkvox.gradient import stencil
 
 from gridmakers import BALL_SHIFT_UM, displaced_ball, roll_gradient, single_voxel
 
@@ -101,15 +101,6 @@ def test_gradient_bitwise_equals_roll_reference():
             for scheme in SCHEMES:
                 assert np.array_equal(gradient(vals, h, scheme),
                                       roll_gradient(vals, h, scheme)), (dims, h, scheme)
-
-
-def test_vector_field_validation():
-    with pytest.raises(ValueError):
-        VectorField(np.zeros((4, 4, 4)), spacing=1.0, scheme="central")
-    bad = np.zeros((4, 4, 4, 3))
-    bad[0, 0, 0, 0] = np.nan
-    with pytest.raises(ValueError):
-        VectorField(bad, spacing=1.0, scheme="central")
 
 
 def test_ball_pole_normal_points_outward():

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from minkvox import (
     BallKernel,
     DegenerateImageError,
     GaussianKernel,
+    NumericalError,
     ShapeUnion,
     SymTensor3,
     VoxelGrid,
@@ -75,6 +78,18 @@ def test_normal_tensor_eps_rel_must_be_finite(monkeypatch):
             estimate_surface_and_tensor(single_voxel(), None, "central", bad)
         with pytest.raises(ValueError, match="non-negative and finite"):
             analyze(single_voxel(), kernel=BallKernel(1.2), eps_rel=bad)
+
+
+def test_huge_eps_fails_loudly_rather_than_reporting_no_interfaces():
+    # S > 0 implies tr W > 0; an overflowing eps is a usage error, a W that
+    # underflows to zero a numerical one, and neither warns
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for h, eps_rel in ((0.1, 1e308), (1e-20, 1e300)):
+            with pytest.raises(ValueError, match="overflows"):
+                analyze(single_voxel(h=h), kernel=None, eps_rel=eps_rel)
+        with pytest.raises(NumericalError, match="underflowed"):
+            analyze(single_voxel(h=1e-8), kernel=None, eps_rel=1e300)
 
 
 def test_tensor_eigensystem_deterministic():
@@ -244,6 +259,25 @@ def test_relative_tensor_error_examples():
                                                             rel=1e-12)
     with pytest.raises(ValueError):
         relative_tensor_error(ref, SymTensor3(np.zeros((3, 3))))
+
+
+def test_tensors_and_their_error_near_the_ends_of_the_float_range():
+    ref = SymTensor3(np.eye(3) / 3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        huge = SymTensor3(np.full((3, 3), 1e308))
+        assert np.all(huge.mat == 1e308)
+        assert relative_tensor_error(ref, huge) == pytest.approx(1.0)
+        assert relative_tensor_error(ref, SymTensor3(np.diag([1e300, 0, 0]))) == 1.0
+        tiny = SymTensor3(np.diag([1e-300, 0, 0]))
+        assert relative_tensor_error(ref, tiny) == pytest.approx(np.sqrt(1 / 3) / 1e-300)
+        with pytest.raises(ValueError, match="float range"):
+            relative_tensor_error(ref, SymTensor3(np.diag([1e-320, 0, 0])))
+    # in the normal range, bitwise the plain quotient of norms
+    est = SymTensor3(np.diag([0.35, 0.33, 0.32]))
+    for r in (ref, SymTensor3(2.0 * ref.mat), SymTensor3(np.diag([5.0, 1e-3, 0.0]))):
+        plain = np.linalg.norm(r.mat - est.mat) / np.linalg.norm(r.mat)
+        assert relative_tensor_error(est, r) == plain
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,6 @@
 import json
+import os
+import threading
 import tracemalloc
 
 import numpy as np
@@ -192,6 +194,59 @@ def test_malformed_sidecar_reports_position(tmp_path):
     (tmp_path / "m.raw.json").write_text('{"dims": [2, 2, 2],, }')
     with pytest.raises(VolumeFormatError, match="byte"):
         load_volume(f)
+
+
+def test_undecodable_or_deeply_nested_sidecar_is_a_format_error(tmp_path):
+    f = tmp_path / "n.raw"
+    f.write_bytes(bytes(8))
+    for text, why in ((b"\xff\xfe{}", "utf-8"), (b"[" * 100_000, "recursion")):
+        (tmp_path / "n.raw.json").write_bytes(text)
+        with pytest.raises(VolumeFormatError, match=why):
+            load_volume(f)
+
+
+def test_volume_file_that_is_no_regular_file_is_refused_unopened(tmp_path):
+    # opening a FIFO to read blocks until a writer comes, and /dev/zero never ends
+    f = tmp_path / "p.raw"
+    store_volume(VoxelGrid(np.zeros((2, 2, 2)), spacing=1.0, depth=1), f)
+    for fifo in (f, tmp_path / "p.raw.json"):
+        fifo.rename(tmp_path / "kept")
+        os.mkfifo(fifo)
+        errors = []
+
+        def load():
+            try:
+                load_volume(f)
+            except VolumeFormatError as exc:
+                errors.append(str(exc))
+
+        reader = threading.Thread(target=load, daemon=True)
+        reader.start()
+        reader.join(10)
+        if reader.is_alive():
+            os.close(os.open(fifo, os.O_WRONLY))  # release the blocked reader
+        assert errors and "not a regular file" in errors[0], fifo
+        fifo.unlink()
+        (tmp_path / "kept").rename(fifo)
+    if os.path.exists("/dev/zero"):
+        f.unlink()
+        f.symlink_to("/dev/zero")
+        with pytest.raises(VolumeFormatError, match="not a regular file"):
+            load_volume(f)
+
+
+def test_oversized_payload_is_refused_unread(tmp_path):
+    f = tmp_path / "o.raw"
+    store_volume(VoxelGrid(np.zeros((4, 4, 4)), spacing=1.0, depth=1), f)
+    f.write_bytes(bytes(8 << 20))
+    tracemalloc.start()
+    try:
+        with pytest.raises(VolumeFormatError, match=f"{8 << 20} bytes, expected 64"):
+            load_volume(f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
 
 
 def test_sidecar_key_errors(tmp_path):

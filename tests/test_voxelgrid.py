@@ -130,7 +130,7 @@ def test_voxelize_ball_volume_fraction():
     # about 15.5% of the box
     g = voxelize(Ball(center=(12.0, 12.0, 12.0), radius=8.0), (12, 12, 12),
                  2.0, depth=4)
-    frac = g.mean()
+    frac = g.values.mean()
     assert abs(frac - 0.155) <= 0.005
 
 
@@ -180,7 +180,7 @@ def test_voxelize_mean_error_improves_with_depth():
         errs = {}
         for p in (1, 4):
             g = displaced_ball(res, p)
-            errs[p] = abs(g.mean() - exact / float(np.prod(np.asarray(g.dims) * g.spacing)))
+            errs[p] = abs(g.values.mean() - exact / float(np.prod(np.asarray(g.dims) * g.spacing)))
         assert errs[4] <= errs[1], (res, errs)
 
 
@@ -283,7 +283,7 @@ def test_voxelize_bitwise_equals_brute_force(case):
     shape, dims, spacing, depth = _BITWISE_CASES[case]
     g = voxelize(shape, dims, spacing, depth)
     assert np.array_equal(g.values, _brute_force_voxelize(shape, dims, spacing, depth))
-    assert 0.0 < g.mean() < 1.0
+    assert 0.0 < g.values.mean() < 1.0
 
 
 def test_voxelize_memory_peak():
