@@ -75,7 +75,7 @@ def run_convergence(
         raise ValueError(f"shape must be 'ball' or 'cylinder', got {shape!r}")
     if not 0 < box_factor < np.inf:
         raise ValueError(f"box factor must be positive and finite, got {box_factor}")
-    disp = np.asarray(displacement, dtype=float)
+    disp = np.asarray(displacement, dtype=float).tolist()  # floats: inf - inf is NaN, unwarned
     lo, hi = SPACING_RANGE_UM
     rows = []
     for res in resolutions:
@@ -95,7 +95,7 @@ def run_convergence(
             fiber = FiberSpec((1.0, 0.0, 0.0), aspect * diameter, diameter)
             body_at = partial(Cylinder, axis=fiber.axis, length=fiber.length, diameter=diameter)
         dims = tuple(int(round(b * res)) for b in box)
-        body = body_at(tuple(np.asarray(dims) * h / 2 + disp))
+        body = body_at(tuple(n * h / 2 + x for n, x in zip(dims, disp)))
         for p in depths:
             # voxelized first: its layer check refuses a box whose references overflow
             grid = voxelize(body, dims, h, depth=p)

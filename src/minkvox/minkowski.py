@@ -121,6 +121,9 @@ def estimate_surface_and_tensor(
     gmax = math.sqrt(max(float(sq.max()) for _, sq in map(slab, starts)))  # bitwise max |g|
     if not math.isfinite(eps := eps_rel * gmax):
         raise ValueError(f"eps_rel * max|g| = {eps_rel} * {gmax} overflows; lower eps_rel")
+    # the weights h^3 / (|g| + eps) go subnormal when eps dwarfs h^3, so they are
+    # summed times 2^k, k even (so exact under the square root), and scaled back
+    k = 2 * max(0, (math.frexp(eps)[1] - math.frexp(h**3)[1]) // 2) if eps > 0 else 0
     total, mat = 0.0, np.zeros((3, 3))
     for x0 in starts:
         g, norms = slab(x0)
@@ -128,10 +131,13 @@ def estimate_surface_and_tensor(
         keep = norms > 0.0
         # g sqrt(w) times its transpose is the weighted sum; numpy runs x @ x.T as syrk
         g = np.compress(keep, g, axis=1)
-        g *= np.sqrt(h**3 / (np.compress(keep, norms) + eps))
+        g *= np.sqrt(math.ldexp(h**3, k) / (np.compress(keep, norms) + eps))
         mat += g @ g.T
-    if total > 0 and not np.trace(mat) > 0:  # S > 0 implies tr W > 0 in exact arithmetic
-        raise NumericalError("the interface tensor underflowed to zero; lower eps_rel")
+    mat = np.ldexp(mat, -k)
+    # S > 0 implies tr W > 0 in exact arithmetic; a subnormal tr W of fewer than 2^40
+    # steps of 2^-1074 has lost the 1e-12 precision of the exact identities
+    if total > 0 and not np.trace(mat) >= 2.0**-1034:
+        raise NumericalError("the interface tensor underflowed; lower eps_rel")
     return total * h**3, SymTensor3(mat / 3.0)
 
 

@@ -10,9 +10,9 @@ A volume at ``path`` consists of two files:
   "f32") and ``order`` (always "x-fastest").
 
 Integer payloads map linearly onto [0, 1] by value / (2^bits - 1), bit-exact
-under store/load round trips; f32 payloads, rounded to single precision, go to
-the grid as a view.  A depth-p payload must hold colors of the depth-p set or,
-in f32, their float32 images, which load as the colors; others are format errors.
+under store/load round trips; f32 payloads hold single-precision values.  A
+depth-p payload must hold colors of the depth-p set or, in f32, their float32
+images, which load as the colors; others are format errors.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import VolumeFormatError
-from .voxelgrid import VoxelGrid, check_spacing
+from .voxelgrid import VoxelGrid, adopt, check_spacing
 
 __all__ = ["load_volume", "store_volume"]
 
@@ -36,6 +36,11 @@ _DTYPES = {
     "f32": np.dtype("<f4"),
 }
 _SIDECAR_KEYS = {"dims", "spacing_um", "depth", "dtype", "order"}
+_TOPS = {"u8": 255, "u16": 65535}  # integer payloads hold rint(value * top)
+# store and load stream the payload in z-slabs of _SLAB layers through one buffer and
+# copy blocks of 8 y-rows to or from the grid's C array, each cast in its source's
+# memory order first: numpy buffers a cast across orders, 2-3x slower at 256^3
+_SLAB = 64
 
 
 def _sidecar_path(path) -> Path:
@@ -62,18 +67,10 @@ def store_volume(grid: VoxelGrid, path, dtype: str | None = None) -> None:
     if dtype not in _DTYPES:
         raise VolumeFormatError(f"unknown dtype {dtype!r}, expected one of {sorted(_DTYPES)}")
 
-    vals = grid.values
-    if dtype == "f32":
-        payload = vals.astype("<f4")
-    else:
-        top = 255 if dtype == "u8" else 65535
-        rounded = vals * top
-        np.rint(rounded, out=rounded)
-        if not np.array_equal(rounded / top, vals):
-            raise VolumeFormatError(
-                f"gray values are not exactly representable as {dtype}; use f32"
-            )
-        payload = rounded.astype(_DTYPES[dtype])
+    vals, top = grid.values, _TOPS.get(dtype)
+    # every x-layer is checked before the file is opened
+    if top is not None and not all(np.array_equal(np.rint(v * top) / top, v) for v in vals):
+        raise VolumeFormatError(f"gray values are not exactly representable as {dtype}; use f32")
 
     sidecar = {
         "dims": list(grid.dims),
@@ -82,14 +79,22 @@ def store_volume(grid: VoxelGrid, path, dtype: str | None = None) -> None:
         "dtype": dtype,
         "order": "x-fastest",
     }
-    Path(path).write_bytes(payload.tobytes(order="F"))
+    cast = lambda s: (s if top is None else np.rint(r := s * top, out=r)).astype(_DTYPES[dtype])
+    nx, ny, nz = grid.dims
+    buf = np.empty((min(_SLAB, nz), ny, nx), _DTYPES[dtype])
+    with open(path, "wb") as fh:
+        for z0 in range(0, nz, _SLAB):
+            slab = buf[: nz - z0]
+            for y0 in range(0, ny, 8):
+                slab.T[:, y0 : y0 + 8] = cast(vals[:, y0 : y0 + 8, z0 : z0 + _SLAB])
+            fh.write(slab)
     _sidecar_path(path).write_text(json.dumps(sidecar, sort_keys=True) + "\n")
 
 
 def load_volume(path) -> VoxelGrid:
     """Read a grid from ``path`` / ``path.json``; inverse of store_volume.
 
-    The grid copies the payload view itself, so an f32 load peaks at 4 + 8 B/voxel.
+    A load peaks at the grid's 8 B/voxel, one payload z-slab, one block and scratch.
     """
     sidecar_file = _sidecar_path(path)
     try:
@@ -100,7 +105,9 @@ def load_volume(path) -> VoxelGrid:
     try:
         meta = json.loads(data.decode())  # JSON text is UTF-8 (RFC 8259)
     except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, too deep, int too long
-        why = f"at byte {exc.pos}: {exc.msg}" if isinstance(exc, json.JSONDecodeError) else exc
+        why = exc
+        if isinstance(exc, json.JSONDecodeError):  # pos counts characters, not bytes
+            why = f"at byte {len(exc.doc[: exc.pos].encode())}: {exc.msg}"
         raise VolumeFormatError(f"malformed sidecar {sidecar_file}: {why}") from exc
 
     if not isinstance(meta, dict):
@@ -137,15 +144,27 @@ def load_volume(path) -> VoxelGrid:
         raise VolumeFormatError(f"invalid spacing {spacing!r} (key 'spacing_um')") from exc
 
     np_dtype = _DTYPES[meta["dtype"]]
+    top = _TOPS.get(meta["dtype"])
+    cast = (lambda s: s.astype(np.float64)) if top is None else lambda s: s / top
     # exact integer product: an int64 one wraps to 0 for dims of 2^40
     expected = math.prod(dims) * np_dtype.itemsize
     # sized before it is opened: a FIFO, a device or an oversized file is refused unread
     try:
         size = _regular_size(path)
         if size == expected:
-            arr = np.empty(math.prod(dims), np_dtype)
+            nx, ny, nz = dims
+            out, size = np.empty(dims), 0
+            buf = np.empty((min(_SLAB, nz), ny, nx), np_dtype)
             with open(path, "rb") as fh:  # a file changed since the check reads short or long
-                size = fh.readinto(arr) + len(fh.read(1))
+                for z0 in range(0, nz, _SLAB):
+                    slab = buf[: nz - z0]
+                    size += (got := fh.readinto(slab))
+                    if got < slab.nbytes:
+                        break
+                    for y0 in range(0, ny, 8):
+                        out[:, y0 : y0 + 8, z0 : z0 + _SLAB] = cast(slab.T[:, y0 : y0 + 8])
+                else:
+                    size += len(fh.read(1))
     except OSError as exc:
         raise VolumeFormatError(f"cannot read payload {path}: {exc}") from exc
     if size != expected:
@@ -154,10 +173,7 @@ def load_volume(path) -> VoxelGrid:
             f"({dims[0]}x{dims[1]}x{dims[2]} of {meta['dtype']})"
         )
 
-    arr = arr.reshape(dims, order="F")
-    if meta["dtype"] != "f32":
-        arr = arr / np.iinfo(np_dtype).max
     try:
-        return VoxelGrid(arr, float(spacing), depth=depth)
+        return VoxelGrid(adopt(out), float(spacing), depth=depth)
     except ValueError as exc:
         raise VolumeFormatError(f"volume {path} violates grid invariants: {exc}") from exc

@@ -9,6 +9,7 @@ import numpy as np
 
 __all__ = [
     "VoxelGrid",
+    "adopt",
     "Ball",
     "Cylinder",
     "Laminate",
@@ -55,7 +56,9 @@ class VoxelGrid:
     for p = 1 and multiples of 1/(p^3 - 1) otherwise.  A color's float32
     image, as an f32 payload holds it, is accepted and stored as the color.
     Grids can be shared freely: each freezes its own C float64 array, one copy of
-    any other input, snapped in place; a caller's C float64 array is left as is.
+    any other input, snapped in place; a caller's array is never written or
+    frozen.  Only an array handed over by :func:`adopt` is validated and frozen
+    in place of a copy.
     """
 
     values: np.ndarray
@@ -63,31 +66,27 @@ class VoxelGrid:
     depth: int | None = None
 
     def __post_init__(self):
-        vals = np.asarray(self.values)
+        adopted = type(self.values) is _Adopted
+        vals = np.asarray(self.values)  # a plain view of an adopted array
         if vals.ndim != 3:
             raise ValueError(f"expected a 3D value array, got ndim={vals.ndim}")
         if min(vals.shape) < 2:
             raise ValueError(f"grid dims must all be >= 2, got {vals.shape}")
         check_spacing(self.spacing)
-        if not (vals.dtype == np.float64 and vals.flags.c_contiguous):
-            # blocks of 8 y- by 64 z-rows transpose an F-ordered view in cache
-            src, vals = vals, np.empty(vals.shape)
-            for y0 in range(0, vals.shape[1], 8):
-                for z0 in range(0, vals.shape[2], 64):
-                    vals[:, y0 : y0 + 8, z0 : z0 + 64] = src[:, y0 : y0 + 8, z0 : z0 + 64]
-        # negated so that NaN, which fails every comparison, is rejected too
-        if not (vals.min() >= 0.0 and vals.max() <= 1.0):
+        vals = np.ascontiguousarray(vals, dtype=np.float64)  # a copy unless C float64
+        # by x-layers, in cache; negated so that NaN, which fails every comparison, is rejected
+        if not all(v.min() >= 0.0 and v.max() <= 1.0 for v in vals):
             raise ValueError(
                 f"gray values must lie in [0, 1], got range "
                 f"[{vals.min()}, {vals.max()}]"
             )
-        shared = np.may_share_memory(vals, self.values)  # the caller's: never written or frozen
+        if not adopted and np.may_share_memory(vals, self.values):
+            vals = vals.copy()  # the caller's array is never written or frozen
         if self.depth is not None:
             m = color_steps(self.depth)
-            out = np.empty_like(vals) if shared else vals
             # by x-layers; a value off its color must be the color's float32 image
             s = np.empty(vals.shape[1:])
-            for v, o in zip(vals, out):
+            for v in vals:
                 np.multiply(v, m, out=s)
                 np.rint(s, out=s)
                 s /= m
@@ -96,16 +95,24 @@ class VoxelGrid:
                     raise ValueError(
                         f"values are not members of the depth-{self.depth} color set"
                     )
-                o[...] = s
-            vals = out
-        elif shared:
-            vals = vals.copy()
+                if i.size:  # a layer of colors stays as it is
+                    v[...] = s
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
     @property
     def dims(self) -> tuple[int, int, int]:
         return self.values.shape
+
+
+class _Adopted(np.ndarray):
+    """A view by which a producer hands a grid the array it alone holds."""
+
+
+def adopt(values: np.ndarray) -> np.ndarray:
+    """Mark a new C float64 array for one VoxelGrid to validate and freeze in place
+    of a copy; its producer passes the result on and never touches the array again."""
+    return values.view(_Adopted)
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +315,7 @@ def voxelize(shape, dims, spacing: float, depth: int = 1) -> VoxelGrid:
     del block
 
     lut = np.floor(np.arange(p**3 + 1) / p**3 * m + 0.5) / m
-    return VoxelGrid(lut[counts], spacing, depth=p)
+    return VoxelGrid(adopt(lut[counts]), spacing, depth=p)
 
 
 def shape_in_box(shape, dims, spacing: float) -> bool:

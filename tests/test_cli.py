@@ -654,3 +654,26 @@ def test_non_finite_reference_and_eps_rel_exit_1(capsys, tmp_path):
         rc, out, err = _run(capsys, "analyze", "--in", ball, f"--eps-rel={value}")
         _assert_one_error_line(rc, out, err, 1)
         assert "eps_rel" in err
+
+
+def test_huge_eps_keeps_the_interface_tensor_of_a_fine_spacing(capsys, tmp_path):
+    # at spacing 1e-5 and eps_rel 1e295 or 1e300 the weights h^3 / (|g| + eps) are
+    # subnormal; W is h^2 times the spacing-1 W in exact arithmetic, and summed
+    # at a power-of-two scale it stays so to 1e-12 (parent: 1e-9 and 5e-5 off)
+    reports = {}
+    for h, diameter in (("1", "8"), ("1e-5", "8e-5")):
+        path = tmp_path / f"ball-{h}.raw"
+        rc, _, err = _run(capsys, "generate", "--shape", "ball", "--dims", 12, 12, 12,
+                          "--diameter", diameter, "--spacing", h, "--depth", 2,
+                          "--out", path)
+        assert rc == 0, err
+        for eps_rel in (1e295, 1e300):
+            rc, out, err = _run(capsys, "analyze", "--in", path, "--kernel", "none",
+                                "--eps-rel", eps_rel)
+            assert rc == 0, err
+            reports[h, eps_rel] = json.loads(out)
+    for eps_rel in (1e295, 1e300):
+        one, fine = reports["1", eps_rel], reports["1e-5", eps_rel]
+        assert abs(fine["beta"] - one["beta"]) <= 1e-12, eps_rel
+        ratio = np.trace(fine["normal_tensor"]) / 1e-10 / np.trace(one["normal_tensor"])
+        assert abs(ratio - 1) <= 1e-12, (eps_rel, ratio)

@@ -149,6 +149,8 @@ def test_generate_flags(tmp_path_factory, shape, spacing, diameter, length, cent
            st.sampled_from(("ball", "gaussian")), FLOATS).map(
            lambda t: f"{t[0]}:{_text(t[1])}")), min_size=1, max_size=2),
        eps=_optional(FLOATS.map(lambda x: [_flag("--eps-rel", x)])))
+@example(shape="ball", diameter="--diameter=-inf",  # -inf + inf in the center, unwarned
+         displacement=["--displacement", "0", "0", "inf"], labels=["none"], eps=[])
 def test_convergence_flags(shape, diameter, displacement, labels, eps):
     _check(["convergence", "--shape", shape, diameter, "--resolutions", 4, "--depths", 1,
             "--aspect", 2, "--box-factor", 1.5, "--kernels"] + labels + displacement + eps)

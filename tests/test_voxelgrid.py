@@ -287,8 +287,10 @@ def test_voxelize_bitwise_equals_brute_force(case):
 
 
 def test_voxelize_memory_peak():
-    # output 8 B/voxel, counts 1, the fine block of one z-chunk 8; a mean over
-    # the whole fine block into a float64 fraction grid takes 33
+    # counts 1 B/voxel, the fine block of one z-chunk 8 and the shape tests of
+    # a member's box measure 12.52, before the grid adopts its 8 B/voxel output;
+    # the bound leaves 0.28 of margin.  A second, snapped copy of the output
+    # took 17.2, a mean over the whole fine block into a float64 fraction grid 33
     shape = fiber_lattice_64()
     tracemalloc.start()
     try:
@@ -296,7 +298,7 @@ def test_voxelize_memory_peak():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak / 64**3 <= 28, peak / 64**3
+    assert peak / 64**3 <= 12.8, peak / 64**3
 
 
 def test_laminate_voxelization_binary():
