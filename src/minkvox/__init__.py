@@ -32,9 +32,6 @@ from .minkowski import (
     SymTensor3,
     analyze,
     eigenvalue_ratio,
-    estimate_surface_and_tensor,
-    estimate_volume,
-    quadratic_normal_tensor,
     relative_tensor_error,
     unit_trace,
 )

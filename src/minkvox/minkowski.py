@@ -11,11 +11,14 @@ of normalized gradient outer products,
 
 with a relative regularization eps = eps_rel * max |g|.  Voxels with exactly
 zero gradient are skipped.  The quadratic normal tensor is W normalized to
-unit trace.
+unit trace.  ``analyze`` computes all of them, and beta, in one call.
 
 S and W are sums of per-voxel terms (Svane, Image Anal. Stereol. 34, 2015),
 taken over x-slabs of gradient.SLAB layers in two passes (max |g|^2, then |g|
 and the outer products of nonzero gradients); no whole-grid gradient is held.
+The W sum carries a power-of-two scale 2^k that keeps its weights out of the
+subnormal range; the QNT is normalized before that scale is taken back off,
+so it and beta are exact under a power-of-two change of spacing.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateImageError, NumericalError
+from .errors import NumericalError
 from .filters import Kernel, fft_convolve
 from .gradient import SLAB, stencil
 from .voxelgrid import VoxelGrid
@@ -33,9 +36,6 @@ from .voxelgrid import VoxelGrid
 __all__ = [
     "SymTensor3",
     "MinkowskiSummary",
-    "estimate_volume",
-    "estimate_surface_and_tensor",
-    "quadratic_normal_tensor",
     "unit_trace",
     "eigenvalue_ratio",
     "relative_tensor_error",
@@ -94,53 +94,6 @@ class SymTensor3:
         return vals, vecs
 
 
-def estimate_volume(image: VoxelGrid) -> float:
-    """Volume estimate from the raw (unfiltered) gray values."""
-    return float(image.values.sum()) * image.spacing**3
-
-
-def estimate_surface_and_tensor(
-    image: VoxelGrid, kernel: Kernel = None, scheme: str = "central",
-    eps_rel: float = DEFAULT_EPS_REL,
-) -> tuple[float, SymTensor3]:
-    """Surface area sum |g| h^3 and interface tensor (1/3) sum g g^T/(|g| + eps) h^3.
-
-    g is the gradient of ``image`` filtered by ``kernel``, eps is ``eps_rel``
-    (checked before the filter runs) times max |g|, and voxels with zero
-    gradient are skipped, so an image without interfaces yields S = 0, W = 0.
-    """
-    if not 0 <= eps_rel < np.inf:
-        raise ValueError(f"eps_rel must be non-negative and finite, got {eps_rel}")
-    f, h = fft_convolve(image, kernel), image.spacing
-    starts = range(0, f.shape[0], SLAB)
-
-    def slab(x0):
-        g = stencil(f, x0, min(x0 + SLAB, f.shape[0]), h, scheme).reshape(3, -1)
-        return g, np.einsum("ij,ij->j", g, g)
-
-    gmax = math.sqrt(max(float(sq.max()) for _, sq in map(slab, starts)))  # bitwise max |g|
-    if not math.isfinite(eps := eps_rel * gmax):
-        raise ValueError(f"eps_rel * max|g| = {eps_rel} * {gmax} overflows; lower eps_rel")
-    # the weights h^3 / (|g| + eps) go subnormal when eps dwarfs h^3, so they are
-    # summed times 2^k, k even (so exact under the square root), and scaled back
-    k = 2 * max(0, (math.frexp(eps)[1] - math.frexp(h**3)[1]) // 2) if eps > 0 else 0
-    total, mat = 0.0, np.zeros((3, 3))
-    for x0 in starts:
-        g, norms = slab(x0)
-        total += float(np.sqrt(norms, out=norms).sum())
-        keep = norms > 0.0
-        # g sqrt(w) times its transpose is the weighted sum; numpy runs x @ x.T as syrk
-        g = np.compress(keep, g, axis=1)
-        g *= np.sqrt(math.ldexp(h**3, k) / (np.compress(keep, norms) + eps))
-        mat += g @ g.T
-    mat = np.ldexp(mat, -k)
-    # S > 0 implies tr W > 0 in exact arithmetic; a subnormal tr W of fewer than 2^40
-    # steps of 2^-1074 has lost the 1e-12 precision of the exact identities
-    if total > 0 and not np.trace(mat) >= 2.0**-1034:
-        raise NumericalError("the interface tensor underflowed; lower eps_rel")
-    return total * h**3, SymTensor3(mat / 3.0)
-
-
 def unit_trace(mat: np.ndarray) -> np.ndarray:
     """Divide by the trace so that np.trace of the result is exactly 1.0.
 
@@ -152,16 +105,6 @@ def unit_trace(mat: np.ndarray) -> np.ndarray:
     if np.trace(out) != 1.0:
         out[2, 2] = 1.0 - (out[0, 0] + out[1, 1])
     return out
-
-
-def quadratic_normal_tensor(tensor: SymTensor3) -> SymTensor3:
-    """Normalize an interface tensor to unit trace."""
-    tr = tensor.trace()
-    if tr <= 1e-14 * max(tensor.frobenius(), np.finfo(float).tiny):
-        raise DegenerateImageError(
-            "interface tensor has (near-)zero trace; image carries no interfaces"
-        )
-    return SymTensor3(unit_trace(tensor.mat))
 
 
 def eigenvalue_ratio(tensor: SymTensor3) -> float:
@@ -193,8 +136,9 @@ def relative_tensor_error(estimate: SymTensor3, reference: SymTensor3) -> float:
 class MinkowskiSummary:
     """Estimates of one image; the caller knows the configuration that made them.
 
-    ``qnt`` and ``beta`` are None for degenerate (all-solid or all-void)
-    images, flagged by ``degenerate``.
+    ``qnt`` and ``beta`` are None for degenerate images, flagged by
+    ``degenerate``: those whose filtered field has no voxel of nonzero
+    gradient, such as any constant image (all-solid, all-void or all-0.5).
     """
 
     volume: float
@@ -211,18 +155,47 @@ def analyze(
     scheme: str = "central",
     eps_rel: float = DEFAULT_EPS_REL,
 ) -> MinkowskiSummary:
-    """Compute volume, surface area, interface tensor, QNT and anisotropy.
+    """Volume, surface area, interface tensor, QNT and anisotropy of one image.
 
-    The volume is always taken from the unfiltered image; surface area and
-    tensors come from the finite-difference gradient of the (optionally)
-    filtered image.
+    The volume is taken from the unfiltered image.  S and W come from the
+    gradient g of ``image`` filtered by ``kernel``, with eps = ``eps_rel``
+    (checked before the filter runs) times max |g|; voxels with zero gradient
+    are skipped, so an image without interfaces yields S = 0, W = 0 and is
+    degenerate.
     """
-    vol = estimate_volume(image)
-    area, w = estimate_surface_and_tensor(image, kernel, scheme, eps_rel)
-    try:
-        q = quadratic_normal_tensor(w)
+    if not 0 <= eps_rel < np.inf:
+        raise ValueError(f"eps_rel must be non-negative and finite, got {eps_rel}")
+    f, h = fft_convolve(image, kernel), image.spacing
+    starts = range(0, f.shape[0], SLAB)
+
+    def slab(x0):
+        g = stencil(f, x0, min(x0 + SLAB, f.shape[0]), h, scheme).reshape(3, -1)
+        return g, np.einsum("ij,ij->j", g, g)
+
+    gmax = math.sqrt(max(float(sq.max()) for _, sq in map(slab, starts)))  # bitwise max |g|
+    if not math.isfinite(eps := eps_rel * gmax):
+        raise ValueError(f"eps_rel * max|g| = {eps_rel} * {gmax} overflows; lower eps_rel")
+    # the weights h^3 / (|g| + eps) go subnormal when eps dwarfs h^3, so they are
+    # summed times 2^k, k even (so exact under the square root), and scaled back
+    k = 2 * max(0, (math.frexp(eps)[1] - math.frexp(h**3)[1]) // 2) if eps > 0 else 0
+    total, mat = 0.0, np.zeros((3, 3))
+    for x0 in starts:
+        g, norms = slab(x0)
+        total += float(np.sqrt(norms, out=norms).sum())
+        keep = norms > 0.0
+        # g sqrt(w) times its transpose is the weighted sum; numpy runs x @ x.T as syrk
+        g = np.compress(keep, g, axis=1)
+        g *= np.sqrt(math.ldexp(h**3, k) / (np.compress(keep, norms) + eps))
+        mat += g @ g.T
+    # S > 0 implies tr W > 0 in exact arithmetic; a subnormal tr W of fewer than 2^40
+    # steps of 2^-1074 has lost the 1e-12 precision of the exact identities
+    if total > 0 and not np.trace(np.ldexp(mat, -k)) >= 2.0**-1034:
+        raise NumericalError("the interface tensor underflowed; lower eps_rel")
+    mat /= 3.0
+    q = beta = None
+    if total > 0:  # normalized before the scale-back, so a subnormal W costs it no bits
+        q = SymTensor3(unit_trace(mat))
         beta = eigenvalue_ratio(q)
-    except DegenerateImageError:
-        q = beta = None
-    return MinkowskiSummary(volume=vol, surface_area=area, normal_tensor=w, qnt=q,
-                            beta=beta, degenerate=q is None)
+    return MinkowskiSummary(volume=float(image.values.sum()) * h**3, surface_area=total * h**3,
+                            normal_tensor=SymTensor3(np.ldexp(mat, -k)), qnt=q, beta=beta,
+                            degenerate=q is None)

@@ -659,9 +659,11 @@ def test_non_finite_reference_and_eps_rel_exit_1(capsys, tmp_path):
 def test_huge_eps_keeps_the_interface_tensor_of_a_fine_spacing(capsys, tmp_path):
     # at spacing 1e-5 and eps_rel 1e295 or 1e300 the weights h^3 / (|g| + eps) are
     # subnormal; W is h^2 times the spacing-1 W in exact arithmetic, and summed
-    # at a power-of-two scale it stays so to 1e-12 (parent: 1e-9 and 5e-5 off)
+    # at a power-of-two scale it stays so to 1e-12 (parent: 1e-9 and 5e-5 off).
+    # At spacing 2^-17 the QNT, normalized before that scale is taken off, and
+    # beta are the spacing-1 ones exactly, although W itself is subnormal.
     reports = {}
-    for h, diameter in (("1", "8"), ("1e-5", "8e-5")):
+    for h, diameter in (("1", "8"), ("1e-5", "8e-5"), (2.0**-17, 8 * 2.0**-17)):
         path = tmp_path / f"ball-{h}.raw"
         rc, _, err = _run(capsys, "generate", "--shape", "ball", "--dims", 12, 12, 12,
                           "--diameter", diameter, "--spacing", h, "--depth", 2,
@@ -677,3 +679,5 @@ def test_huge_eps_keeps_the_interface_tensor_of_a_fine_spacing(capsys, tmp_path)
         assert abs(fine["beta"] - one["beta"]) <= 1e-12, eps_rel
         ratio = np.trace(fine["normal_tensor"]) / 1e-10 / np.trace(one["normal_tensor"])
         assert abs(ratio - 1) <= 1e-12, (eps_rel, ratio)
+        exact = reports[2.0**-17, eps_rel]
+        assert (exact["qnt"], exact["beta"]) == (one["qnt"], one["beta"]), eps_rel

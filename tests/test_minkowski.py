@@ -1,7 +1,10 @@
+import math
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from minkvox import minkowski
 from minkvox.filters import fft_convolve
@@ -9,7 +12,6 @@ from minkvox.gradient import SLAB, stencil
 from minkvox import (
     Ball,
     BallKernel,
-    DegenerateImageError,
     GaussianKernel,
     NumericalError,
     ShapeUnion,
@@ -18,9 +20,6 @@ from minkvox import (
     analyze,
     ball_quantities,
     eigenvalue_ratio,
-    estimate_surface_and_tensor,
-    estimate_volume,
-    quadratic_normal_tensor,
     relative_tensor_error,
     unit_trace,
     voxelize,
@@ -75,7 +74,7 @@ def test_normal_tensor_eps_rel_must_be_finite(monkeypatch):
     monkeypatch.setattr(minkowski, "fft_convolve", no_filter)
     for bad in (np.nan, np.inf, -1.0):
         with pytest.raises(ValueError, match="eps_rel"):
-            estimate_surface_and_tensor(single_voxel(), None, "central", bad)
+            analyze(single_voxel(), None, "central", bad)
         with pytest.raises(ValueError, match="non-negative and finite"):
             analyze(single_voxel(), kernel=BallKernel(1.2), eps_rel=bad)
 
@@ -123,15 +122,15 @@ def test_unit_trace_is_exact():
 def test_volume_is_plain_sum():
     rng = np.random.default_rng(60)
     g = random_grid(rng, (6, 7, 8), h=0.5)
-    assert estimate_volume(g) == pytest.approx(g.values.sum() * 0.125, rel=1e-15)
+    assert analyze(g).volume == pytest.approx(g.values.sum() * 0.125, rel=1e-15)
     ones = VoxelGrid(np.ones((4, 4, 4)), spacing=2.0, depth=1)
-    assert estimate_volume(ones) == 4**3 * 2.0**3
-    assert estimate_volume(single_voxel(h=1.0)) == 1.0
+    assert analyze(ones).volume == 4**3 * 2.0**3
+    assert analyze(single_voxel(h=1.0)).volume == 1.0
 
 
 def test_ball_volume_accurate_at_low_resolution():
     g = displaced_ball(8, 4)  # D = 16 um in a 24 um box, h = 2
-    err = abs(estimate_volume(g) - BALL_REF.volume) / BALL_REF.volume
+    err = abs(analyze(g).volume - BALL_REF.volume) / BALL_REF.volume
     assert err < 0.005
 
 
@@ -139,26 +138,28 @@ def test_laminate_surface_exact():
     for axis in range(3):
         g = binary_laminate(axis=axis, n=24, h=0.75)
         area = 2 * 24 * 24 * 0.75**2  # two interfaces
-        s = estimate_surface_and_tensor(g, None, "central")[0]
+        s = analyze(g, None, "central").surface_area
         assert s == pytest.approx(area, rel=1e-12)
 
 
 def test_single_voxel_surface_and_tensor():
     g = single_voxel(n=8, h=0.5)
-    s, w = estimate_surface_and_tensor(g, None, "central")
+    r = analyze(g, None, "central")
+    s, w = r.surface_area, r.normal_tensor
     assert s == pytest.approx(3 * 0.5**2, rel=1e-12)
     assert np.abs(w.mat - (0.5**2 / 3) * np.eye(3)).max() <= 1e-9 * 0.5**2
 
 
 def test_zero_field_gives_zero_tensor():
     g = VoxelGrid(np.zeros((4, 4, 4)), spacing=1.0, depth=1)
-    w = estimate_surface_and_tensor(g, None, "central")[1]
+    w = analyze(g, None, "central").normal_tensor
     assert np.all(w.mat == 0.0)
     # any constant image, over one or several slabs, in every scheme
     for nx in (2, 3 * SLAB + 1):
         g = VoxelGrid(np.full((nx, 5, 6), 0.3), spacing=0.7, depth=None)
         for scheme in ("central", "forward", "backward"):
-            s, w = estimate_surface_and_tensor(g, None, scheme)
+            r = analyze(g, None, scheme)
+            s, w = r.surface_area, r.normal_tensor
             assert s == 0.0
             assert np.all(w.mat == 0.0)
 
@@ -168,7 +169,8 @@ def test_surface_consistency_with_tensor_trace():
     rng = np.random.default_rng(61)
     for _ in range(5):
         g = random_grid(rng, (10, 10, 10), depth=3)
-        s, w = estimate_surface_and_tensor(g, None, "central", eps_rel=1e-12)
+        r = analyze(g, None, "central", eps_rel=1e-12)
+        s, w = r.surface_area, r.normal_tensor
         assert abs(3 * w.trace() - s) / s <= 1e-9
 
 
@@ -194,7 +196,8 @@ def test_slab_sums_match_whole_grid_reference():
                     g = VoxelGrid(vals, spacing=h, depth=None)
                     for scheme in ("central", "forward", "backward"):
                         for eps_rel in (1e-12, 0.0, 1e-3):
-                            s, w = estimate_surface_and_tensor(g, None, scheme, eps_rel)
+                            r = analyze(g, None, scheme, eps_rel)
+                            s, w = r.surface_area, r.normal_tensor
                             s_ref, w_ref = _whole_grid_sums(vals, h, scheme, eps_rel)
                             case = (dims, h, scheme, eps_rel)
                             assert abs(s - s_ref) <= 1e-13 * s_ref, case
@@ -215,7 +218,8 @@ def test_filtered_sums_with_large_eps_match_whole_grid_stencil():
         keep = grad[:, norms > 0]
         weights = h**3 / (norms[norms > 0] + 0.5 * norms.max())
         w_ref = (keep * weights) @ keep.T / 3
-        s, w = estimate_surface_and_tensor(g, kernel, "central", eps_rel=0.5)
+        r = analyze(g, kernel, "central", eps_rel=0.5)
+        s, w = r.surface_area, r.normal_tensor
         assert abs(s - norms.sum() * h**3) <= 1e-12 * s, kernel
         assert np.abs(w.mat - w_ref).max() <= 1e-12 * np.abs(w_ref).max(), kernel
 
@@ -231,14 +235,6 @@ def test_ball_tensor_error_band():
 
 # ---------------------------------------------------------------------------
 # qnt / beta / errors
-
-def test_qnt_normalizes_and_rejects_zero():
-    q = quadratic_normal_tensor(SymTensor3(5.0 * np.eye(3)))
-    assert np.array_equal(q.mat, np.eye(3) / 3)
-    assert q.trace() == 1.0
-    with pytest.raises(DegenerateImageError):
-        quadratic_normal_tensor(SymTensor3(np.zeros((3, 3))))
-
 
 def test_eigenvalue_ratio_examples():
     assert eigenvalue_ratio(SymTensor3(np.eye(3) / 3)) == pytest.approx(1.0)
@@ -284,8 +280,10 @@ def test_tensors_and_their_error_near_the_ends_of_the_float_range():
 # analyze
 
 def test_analyze_degenerate_images():
-    for vals in (np.zeros((6, 6, 6)), np.ones((6, 6, 6))):
-        g = VoxelGrid(vals, spacing=1.0, depth=1)
+    # a constant image has no interface voxel, whether solid, void or gray
+    for vals, depth in ((np.zeros((6, 6, 6)), 1), (np.ones((6, 6, 6)), 1),
+                        (np.full((6, 6, 6), 0.5), None)):
+        g = VoxelGrid(vals, spacing=1.0, depth=depth)
         s = analyze(g, kernel=None)
         assert s.degenerate
         assert s.qnt is None and s.beta is None
@@ -299,7 +297,7 @@ def test_analyze_volume_ignores_filter():
     v_none = analyze(g, kernel=None).volume
     v_ball = analyze(g, kernel=BallKernel(1.2)).volume
     v_gauss = analyze(g, kernel=GaussianKernel(2.0)).volume
-    assert v_none == v_ball == v_gauss == estimate_volume(g)
+    assert v_none == v_ball == v_gauss == g.values.sum() * g.spacing**3
 
 
 def test_analyze_metadata_and_invariants():
@@ -378,3 +376,53 @@ def test_beta_one_iff_isotropic():
     assert eigenvalue_ratio(SymTensor3(7.3 * np.eye(3))) == 1.0
     t = SymTensor3(np.diag([1.0, 1.0, 1.0 + 1e-6]))
     assert eigenvalue_ratio(t) < 1.0
+
+
+@st.composite
+def _small_volumes(draw):
+    """Noise or smoothed-noise blobs on 6-12^3 voxels, snapped to depth 1-4."""
+    dims = tuple(draw(st.integers(6, 12)) for _ in range(3))
+    depth = draw(st.integers(1, 4))
+    vals = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).random(dims)
+    if draw(st.booleans()):
+        for axis in range(3):
+            vals = vals + np.roll(vals, 1, axis) + np.roll(vals, -1, axis)
+        vals = (vals - vals.min()) / (vals.max() - vals.min())
+    return quantize(VoxelGrid(vals, 1.0, None), depth).values, depth
+
+
+def _normal_entries(t: SymTensor3) -> bool:
+    # SymTensor3 halves each entry, so entries below 2^-1021 may lose their last bit
+    return not ((t.mat != 0) & (np.abs(t.mat) < 2.0**-1021)).any()
+
+
+@settings(max_examples=200, database=None, deadline=None)
+@given(volume=_small_volumes(),
+       kernel=st.one_of(st.none(), st.builds(BallKernel, st.floats(0.5, 1.4)),
+                        st.builds(GaussianKernel, st.floats(0.3, 0.9))),
+       eps_rel=st.sampled_from([1e-12, 0.5, 1e100, 1e300]),
+       h=st.sampled_from([1.0, 0.7, 3.0]),
+       k=st.sampled_from([-30, -17, -1, 1, 20, 40]))
+def test_power_of_two_spacing_scales_the_estimates_exactly(volume, kernel, eps_rel, h, k):
+    # V, S and W scale by 2^3k, 2^2k and 2^2k bitwise; the QNT and beta do not move,
+    # also where eps dwarfs h^3 and W itself is subnormal
+    vals, depth = volume
+
+    def run(spacing):
+        try:
+            return analyze(VoxelGrid(vals, spacing, depth), kernel, "central", eps_rel)
+        except (ValueError, NumericalError) as exc:
+            assert "overflows" in str(exc) or "underflowed" in str(exc)
+            return None
+
+    base, scaled = run(h), run(math.ldexp(h, k))
+    if base is None or scaled is None:
+        return
+    assert scaled.volume == math.ldexp(base.volume, 3 * k)
+    assert scaled.surface_area == math.ldexp(base.surface_area, 2 * k)
+    if _normal_entries(base.normal_tensor) and _normal_entries(scaled.normal_tensor):
+        assert np.array_equal(scaled.normal_tensor.mat, np.ldexp(base.normal_tensor.mat, 2 * k))
+    assert scaled.degenerate == base.degenerate
+    if not base.degenerate:
+        assert np.array_equal(scaled.qnt.mat, base.qnt.mat)
+        assert scaled.beta == base.beta

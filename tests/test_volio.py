@@ -5,11 +5,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from minkvox import (
     Ball,
     VolumeFormatError,
     VoxelGrid,
+    color_steps,
     load_volume,
     store_volume,
     voxelize,
@@ -309,6 +312,36 @@ def test_round_trips_across_slab_boundaries(tmp_path, nz):
         assert back.values.tobytes() == want.tobytes(), (dtype, g.depth)
         assert back.values.flags.c_contiguous and not back.values.flags.writeable
         assert (back.dims, back.depth) == (g.dims, g.depth)
+
+
+@settings(max_examples=100, database=None, deadline=None)
+@given(dims=st.tuples(st.integers(2, 9), st.integers(2, 9), st.integers(2, 70)),
+       depth=st.one_of(st.none(), st.integers(1, 5)),
+       dtype=st.sampled_from(["u8", "u16", "f32"]),
+       spacing=st.floats(*SPACING_RANGE_UM),
+       seed=st.integers(0, 2**32 - 1))
+def test_store_then_load_is_the_identity(tmp_path_factory, dims, depth, dtype, spacing, seed):
+    # nz up to 70 crosses the 64-layer slab; integer payloads only where every value
+    # is one of their steps, f32 otherwise
+    if depth is not None and depth > 1:
+        dtype = "f32"
+    rng = np.random.default_rng(seed)
+    if depth is None and dtype != "f32":
+        top = {"u8": 255, "u16": 65535}[dtype]
+        vals = rng.integers(0, top + 1, dims) / top
+    elif depth is None:
+        vals = rng.random(dims)
+    else:
+        vals = rng.integers(0, color_steps(depth) + 1, dims) / color_steps(depth)
+    g = VoxelGrid(vals, spacing, depth)
+    f = tmp_path_factory.mktemp("roundtrip") / "v.raw"
+    store_volume(g, f, dtype=dtype)
+    back = load_volume(f)
+    want = g.values  # continuous f32 payloads load their float32 rounding
+    if dtype == "f32" and depth is None:
+        want = want.astype(np.float32).astype(np.float64)
+    assert back.values.tobytes() == want.tobytes()
+    assert (back.dims, back.spacing, back.depth) == (g.dims, g.spacing, g.depth)
 
 
 def test_refused_store_leaves_no_files(tmp_path):
