@@ -6,9 +6,11 @@ Sci. 45, 2010).  Its eigenvector for the smallest eigenvalue is the direction
 of least gray-value variation, which for fibrous structures is the local
 fiber axis.  Averaging the outer products of these eigenvectors over all
 sufficiently structured voxels and normalizing by the trace yields an
-estimate of the second-order orientation tensor A = <p p^T>.  Each x-slab's
-products g_i g_j go straight into six padded field buffers, in which one call
-blurs all six; neither the whole gradient nor the whole transfer is held.
+estimate of the second-order orientation tensor A = <p p^T>.  Beyond six
+padded field buffers, in which one call blurs all six components, only slab
+and chunk scratch is held: the first filter writes into the yz buffer, each
+x-slab's products g_i g_j go straight into the buffers, and the mask is
+applied chunk by chunk.
 
 The eigen stage runs in closed form on the six tensor components, chunk by
 chunk (Kopp, "Efficient numerical diagonalization of hermitian 3x3
@@ -104,34 +106,39 @@ def structure_tensor_orientation(
 
     # values in [0, 1] and h >= 1e-20 give |g| <= 1e20: every product is finite
     dims, spacing = image.dims, image.spacing
-    f = fft_convolve(image, first_kernel)
-    del image  # a caller that handed its grid over frees it here
     buf = field_buffer(dims, (6,))
+    f = fft_convolve(image, first_kernel, buf[5])
+    del image  # a caller that handed its grid over frees it here
     blurred = buf[:, :f.size].reshape((6,) + dims)  # the six fields, spectra behind
+    # f is the yz field: a slab's yz product overwrites its f layers once the next
+    # slab's stencil has run, and slab 0's at the end, as the last slab reads layer 0
+    held = []
     for x0 in range(0, len(f), SLAB):
         g = stencil(f, x0, x0 + SLAB, spacing, scheme)
-        for slot, (i, j) in enumerate(_PAIRS):
+        for slot, (i, j) in enumerate(_PAIRS[:5]):
             np.multiply(g[i], g[j], out=blurred[slot, x0:x0 + SLAB])
-    del f
+        held.append((x0, g))
+        if len(held) == 3:
+            x, g = held.pop(1)
+            np.multiply(g[1], g[2], out=blurred[5, x:x + SLAB])
+    for x, g in held:
+        np.multiply(g[1], g[2], out=blurred[5, x:x + SLAB])
     apply_transfer(blurred, kernel_transfer(second_kernel, dims, spacing), buf)
 
-    trace = blurred[0] + blurred[1]
-    trace += blurred[2]
-    peak = trace.max()
-    if mask_threshold_rel > 0:
-        mask = trace >= mask_threshold_rel * peak
-    else:
-        mask = np.ones(dims, dtype=bool)
-    count = int(mask.sum())
-    if count == 0 or peak <= 0:
-        raise DegenerateImageError("no voxel carries structure-tensor signal")
-
+    # two sweeps over the same chunks, so no whole-grid trace or mask is held
     flat = blurred.reshape(6, -1)
-    keep = mask.ravel()
-    a_mat = np.zeros((3, 3))
-    for lo in range(0, keep.size, _CHUNK):
-        chunk = np.compress(keep[lo:lo + _CHUNK], flat[:, lo:lo + _CHUNK], axis=1)
-        a_mat += minor_projector_sum(chunk)
+    chunks = [slice(lo, lo + _CHUNK) for lo in range(0, flat.shape[1], _CHUNK)]
+    peak = max(flat[:3, s].sum(axis=0).max() for s in chunks)  # the largest trace
+    if peak <= 0:
+        raise DegenerateImageError("no voxel carries structure-tensor signal")
+    threshold = mask_threshold_rel * peak if mask_threshold_rel > 0 else -np.inf
+    count, a_mat = 0, np.zeros((3, 3))
+    for s in chunks:
+        keep = flat[:3, s].sum(axis=0) >= threshold
+        count += int(keep.sum())
+        a_mat += minor_projector_sum(np.compress(keep, flat[:, s], axis=1))
+    if count == 0:
+        raise DegenerateImageError("no voxel carries structure-tensor signal")
     return OrientationResult(a_est=SymTensor3(unit_trace(a_mat)), masked_voxels=count,
                              total_voxels=int(np.prod(dims)))
 

@@ -185,13 +185,17 @@ def apply_transfer(values: np.ndarray, transfer, buf: np.ndarray) -> np.ndarray:
     return fields.reshape(values.shape)
 
 
-def _direct_sum(values: np.ndarray, box: np.ndarray, idx, scale: float) -> np.ndarray:
+def _direct_sum(values: np.ndarray, box: np.ndarray, idx, scale: float, out) -> np.ndarray:
     """sum_k box[k] scale values[x - k] over the support points k, an x-slab at a
-    time.  Points of equal weight are added first, in one order for every voxel,
-    and scaled once, Horner-like: w1 S1 + w2 S2 = (S1 w1 / w2 + S2) w2."""
+    time, into ``out`` (or a new array for None).  Points of equal weight are added
+    first, in one order for every voxel, and scaled once, Horner-like:
+    w1 S1 + w2 S2 = (S1 w1 / w2 + S2) w2."""
     weights = sorted(set(box[box != 0].tolist()))
     factors = [a / b for a, b in zip(weights, weights[1:])] + [weights[-1] * scale]
-    out = np.zeros(values.shape)  # zeroed by calloc: no slower than np.empty here
+    if out is None:
+        out = np.zeros(values.shape)  # zeroed by calloc: no slower than np.empty here
+    else:
+        out.fill(0)
     for x0 in range(0, len(out), _SLAB):
         acc = out[x0:x0 + _SLAB]
         for w, factor in zip(weights, factors):
@@ -204,26 +208,33 @@ def _direct_sum(values: np.ndarray, box: np.ndarray, idx, scale: float) -> np.nd
     return out
 
 
-def fft_convolve(image: VoxelGrid, kernel: Kernel) -> np.ndarray:
+def fft_convolve(image: VoxelGrid, kernel: Kernel, out: np.ndarray | None = None) -> np.ndarray:
     """Convolve a gray-value image with a kernel, treating the grid as periodic.
 
     A router: the support's point count picks the direct sum or apply_transfer.
-    Returns the field, or ``image.values`` for ``kernel=None``.  The output is
+    Returns the field, or ``image.values`` for ``kernel=None``.  Given ``out``, a
+    ``field_buffer(dims)`` row, every route leaves the field in its front and
+    returns that view instead, so no grid of its own is allocated.  The output is
     clipped to [0, 1] to absorb round-off; values outside [-1e-6, 1 + 1e-6]
     indicate a normalization bug and raise NumericalError.
     """
+    values = image.values
+    field = None if out is None else out[:values.size].reshape(values.shape)
+    if kernel is None and field is None:
+        return values
     if kernel is None:
-        return image.values
+        field[...] = values
+        return field
     box, idx = _box_samples(kernel, image.dims, image.spacing)
     if np.count_nonzero(box) <= _DIRECT_POINTS:
-        out = _direct_sum(image.values, box, idx, image.spacing**3)
+        field = _direct_sum(values, box, idx, image.spacing**3, field)
     else:
         transfer = kernel_transfer(kernel, image.dims, image.spacing)
-        out = apply_transfer(image.values, transfer, field_buffer(image.dims))
-    lo, hi = float(out.min()), float(out.max())
+        field = apply_transfer(values, transfer, field_buffer(image.dims) if out is None else out)
+    lo, hi = float(field.min()), float(field.max())
     if lo < -1e-6 or hi > 1 + 1e-6:
         raise NumericalError(
             f"convolution output range [{lo}, {hi}] exceeds [0, 1] beyond round-off"
         )
-    np.clip(out, 0.0, 1.0, out=out)
-    return out
+    np.clip(field, 0.0, 1.0, out=field)
+    return field

@@ -261,9 +261,9 @@ def voxelize(shape, dims, spacing: float, depth: int = 1) -> VoxelGrid:
     Returns
     -------
     VoxelGrid with ``depth=p``.  The fine sample block is built in z-chunks
-    of at most 2^24 booleans (or one voxel layer, if larger), which bounds
-    the memory beyond the output.  A voxel layer of more than 2^26 samples,
-    nx ny p^3, raises ValueError before anything is allocated.
+    of at most nx ny nz booleans (or one voxel layer, if larger), which bounds
+    the memory beyond the output to about 1 B/voxel.  A voxel layer of more
+    than 2^26 samples, nx ny p^3, raises ValueError before anything is allocated.
     """
     dims = tuple(int(n) for n in dims)
     if len(dims) != 3 or min(dims) < 2:
@@ -291,9 +291,9 @@ def voxelize(shape, dims, spacing: float, depth: int = 1) -> VoxelGrid:
 
     # solid sub-samples per voxel; outside every box the block is all False
     counts = np.zeros(dims, dtype=np.min_scalar_type(p**3))
-    # chunk along z to bound the size of the fine boolean block
-    max_cells = 1 << 24
-    zstep = max(1, max_cells // layer)
+    # chunk along z so that the fine boolean block holds at most one byte per
+    # output voxel, or one voxel layer where that is larger
+    zstep = max(layer, nx * ny * nz) // layer
     for z0 in range(0, nz, zstep):
         z1 = min(z0 + zstep, nz)
         block = np.zeros((nx * p, ny * p, (z1 - z0) * p), dtype=bool)

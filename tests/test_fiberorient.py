@@ -290,10 +290,12 @@ def _whole_grid_orientation(image, first, second, scheme):
 
 
 def test_slab_products_bitwise_equal_whole_grid_formula():
-    # x = 9 is not a multiple of the slab height, x = 3 is less than one slab
+    # x = 9 is not a multiple of the slab height, x = 3 is less than one slab;
+    # the first kernels take each route of fft_convolve: none, direct sum and FFT
     rng = np.random.default_rng(93)
     cases = (((9, 11, 13), 0.7, BallKernel(1.2), GaussianKernel(1.45)),
              ((9, 11, 13), 1.3, None, BallKernel(2.5)),
+             ((9, 11, 13), 0.7, GaussianKernel(1.0), BallKernel(2.5)),
              ((3, 12, 10), 1.0, None, GaussianKernel(0.45)),
              ((3, 12, 10), 0.7, BallKernel(1.2), BallKernel(1.2)))
     for dims, h, first, second in cases:
@@ -307,11 +309,12 @@ def test_slab_products_bitwise_equal_whole_grid_formula():
 
 def test_orientation_memory_peak():
     # the caller's image (8 B/voxel) and six components padded for their
-    # spectra (6 x 8.25), then the blur's support rows and one transfer block
-    # (under 2 at 64^3) or 9 for the trace and mask; the eigen-stage chunks
-    # add about 20 (peak 79.1).  A whole-grid transfer held through the blurs
-    # adds 8.25, and a whole-grid gradient and per-component temporaries
-    # reach about 108.
+    # spectra (6 x 8.25), the first filter's field in the last of them; beside
+    # these, slab and chunk scratch only: the blur's support rows and one
+    # transfer block (under 2 at 64^3), or the eigen stage's chunk temporaries
+    # (about 12; peak 69.2).  A whole-grid trace and mask beside the chunks
+    # add 9 (79.6), a whole-grid transfer held through the blurs 8.25, and a
+    # whole-grid gradient and per-component temporaries reached about 108.
     image = random_grid(np.random.default_rng(94), (64, 64, 64))
     tracemalloc.start()
     try:
@@ -319,7 +322,7 @@ def test_orientation_memory_peak():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak / 64**3 <= 92, peak / 64**3
+    assert peak / 64**3 <= 72, peak / 64**3
 
 
 def _handed_over_grid(refs):
@@ -331,20 +334,21 @@ def _handed_over_grid(refs):
 
 
 def test_orientation_frees_a_handed_over_grid(monkeypatch):
-    # kernel_transfer runs after the products; by then the grid must be gone
+    # the first filter leaves its field in the blur buffer, so the grid is gone
+    # before the first stencil of the products runs, also without a filter
     refs = []
-    transfer = fiberorient.kernel_transfer
+    stencil = fiberorient.stencil
 
-    def after_products(*args):
+    def in_products(*args):
         assert [ref() is None for ref in refs] == [True, True]
-        return transfer(*args)
+        return stencil(*args)
 
-    for first in (None, BallKernel(1.2)):
+    for first in (None, BallKernel(1.2), GaussianKernel(1.0)):
         expected = structure_tensor_orientation(_handed_over_grid([]), first,
                                                 GaussianKernel(1.5))
         refs.clear()
         with monkeypatch.context() as m:
-            m.setattr(fiberorient, "kernel_transfer", after_products)
+            m.setattr(fiberorient, "stencil", in_products)
             got = structure_tensor_orientation(_handed_over_grid(refs), first,
                                                GaussianKernel(1.5))
         assert np.array_equal(got.a_est.mat, expected.a_est.mat), first
