@@ -25,20 +25,16 @@ from .voxelgrid import Ball, Cylinder, Laminate, ShapeUnion, shape_in_box, voxel
 __all__ = ["main", "make_kernel"]
 
 
-class _UsageError(Exception):
-    pass
-
-
-# the first class an exception is an instance of gives the exit code;
-# KernelSupportError is a ValueError; a MemoryError is a job too big for the host
-_EXIT_CODES = {_UsageError: 1, ValueError: 1, MemoryError: 1, VolumeFormatError: 2,
+# the first class an exception is an instance of gives the exit code; usage errors and
+# KernelSupportError are ValueErrors; a MemoryError is a job too big for the host
+_EXIT_CODES = {ValueError: 1, MemoryError: 1, VolumeFormatError: 2,
                OSError: 2, NumericalError: 3, DegenerateImageError: 3}
 
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits with status 2 on bad flags; we reserve 2 for I/O errors
     def error(self, message):
-        raise _UsageError(f"{self.prog}: error: {message}")
+        raise ValueError(f"{self.prog}: error: {message}")
 
 
 def _fmt(x) -> str:
@@ -60,7 +56,7 @@ def make_kernel(spec: str, sigma: float | None = None) -> Kernel:
     sweep label: 'none', 'ball:SIGMA' or 'gaussian:SIGMA'."""
     name, sep, text = spec.partition(":") if sigma is None else (spec, ":", sigma)
     if spec != "none" and not (sep and _KERNELS.get(name)):
-        raise _UsageError(
+        raise ValueError(
             f"invalid kernel label {spec!r}, expected none, ball:SIGMA or gaussian:SIGMA"
         )
     if spec == "none":
@@ -68,7 +64,7 @@ def make_kernel(spec: str, sigma: float | None = None) -> Kernel:
     try:
         sigma = float(text)
     except ValueError:
-        raise _UsageError(f"invalid sigma in kernel label {spec!r}") from None
+        raise ValueError(f"invalid sigma in kernel label {spec!r}") from None
     return _KERNELS[name](sigma)
 
 
@@ -124,23 +120,23 @@ def _shape_from_args(args, box):
     center = tuple(args.center) if args.center else tuple(box / 2)
     if args.shape == "ball":
         if args.diameter is None:
-            raise _UsageError("--shape ball requires --diameter")
+            raise ValueError("--shape ball requires --diameter")
         return Ball(center, args.diameter / 2)
     if args.shape == "cylinder":
         if args.diameter is None or args.length is None:
-            raise _UsageError("--shape cylinder requires --diameter and --length")
+            raise ValueError("--shape cylinder requires --diameter and --length")
         return Cylinder(center, tuple(args.axis), args.length, args.diameter)
     if args.shape == "laminate":
         if not args.slab:
-            raise _UsageError("--shape laminate requires at least one --slab LO HI")
+            raise ValueError("--shape laminate requires at least one --slab LO HI")
         return Laminate(args.axis_index, tuple(tuple(s) for s in args.slab))
     if args.shape == "fiber-array":
         if not args.fiber:
-            raise _UsageError(
+            raise ValueError(
                 "--shape fiber-array requires at least one --fiber AX AY AZ CX CY CZ"
             )
         if args.diameter is None or args.length is None:
-            raise _UsageError("--shape fiber-array requires --diameter and --length")
+            raise ValueError("--shape fiber-array requires --diameter and --length")
         members = []
         for spec in args.fiber:
             axis, cen = tuple(spec[:3]), tuple(spec[3:])
@@ -152,13 +148,13 @@ def _cmd_generate(args) -> int:
     box = np.asarray(args.dims) * args.spacing
     shape = _shape_from_args(args, box)
     if not shape_in_box(shape, args.dims, args.spacing):
-        raise _UsageError(
+        raise ValueError(
             f"shape does not fit into the box [0, {box[0]}]x[0, {box[1]}]"
             f"x[0, {box[2]}] um; shapes are not wrapped periodically"
         )
     grid = voxelize(shape, tuple(args.dims), args.spacing, depth=args.depth)
     if not grid.values.any():
-        raise _UsageError(f"shape covers no sample point at --depth {args.depth}")
+        raise ValueError(f"shape covers no sample point at --depth {args.depth}")
     dtype = None if args.dtype == "auto" else args.dtype
     store_volume(grid, args.out, dtype=dtype)
     return 0

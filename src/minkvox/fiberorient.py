@@ -153,9 +153,8 @@ def minor_projector_sum(comps: np.ndarray) -> np.ndarray:
     tensor contributes the normalized projector onto the tied eigenspace
     instead, (I - w w^T) / 2 for a two-fold and I / 3 for a three-fold tie.
     """
-    # C order for callers that pass strided views; an exact power-of-two scale to a
-    # largest entry in [1/2, 1) keeps det (degree 3) and B^2 (degree 4) normal floats
-    comps = np.ascontiguousarray(comps)
+    # an exact power-of-two scale to a largest entry in [1/2, 1) keeps det (degree 3)
+    # and B^2 (degree 4) normal floats
     scaled = np.abs(comps)
     comps = np.ldexp(comps, -np.frexp(scaled.max(axis=0))[1], out=scaled)
     # every per-voxel value is a row of one scratch block written through out=;

@@ -48,33 +48,22 @@ DEFAULT_EPS_REL = 1e-12
 
 @dataclass(frozen=True)
 class SymTensor3:
-    """Symmetric 3x3 tensor with deterministic eigendecomposition helpers."""
+    """Exactly symmetric 3x3 tensor, held as a read-only C float64 copy of ``mat``, with
+    deterministic eigendecomposition helpers.  Asymmetry in any bit raises ValueError; a
+    caller with round-off asymmetry symmetrizes first, as ``np.triu(m) + np.triu(m, 1).T``."""
 
     mat: np.ndarray
 
     def __post_init__(self):
-        mat = np.asarray(self.mat, dtype=np.float64)
+        mat = np.array(self.mat, dtype=np.float64, order="C")
         if mat.shape != (3, 3):
             raise ValueError(f"expected a 3x3 matrix, got shape {mat.shape}")
-        # NaN fails the symmetry comparison below, so it would pass unchecked
-        if not np.isfinite(mat).all():
+        if not np.isfinite(mat).all():  # first, as NaN also fails the symmetry test
             raise ValueError("tensor entries must be finite")
-        if np.array_equal(mat, mat.T):  # kept as is: halving rounds the smallest floats
-            mat = np.array(mat, order="C")
-        else:
-            scale = max(float(np.abs(mat).max()), 1.0)
-            half = mat / 2  # halves first, so that entries near the float range do not overflow
-            if np.abs(half - half.T).max() > 5e-9 * scale:
-                raise ValueError("matrix is not symmetric")
-            mat = np.ascontiguousarray(half + half.T)
+        if not np.array_equal(mat, mat.T):
+            raise ValueError("matrix is not exactly symmetric")
         mat.setflags(write=False)
         object.__setattr__(self, "mat", mat)
-
-    def trace(self) -> float:
-        return float(np.trace(self.mat))
-
-    def frobenius(self) -> float:
-        return float(np.linalg.norm(self.mat))
 
     def eigenvalues(self) -> np.ndarray:
         """Eigenvalues in descending order."""

@@ -73,15 +73,14 @@ class VoxelGrid:
         if min(vals.shape) < 2:
             raise ValueError(f"grid dims must all be >= 2, got {vals.shape}")
         check_spacing(self.spacing)
-        vals = np.ascontiguousarray(vals, dtype=np.float64)  # a copy unless C float64
+        if not adopted:  # the one copy: the caller's array is never written or frozen
+            vals = np.array(vals, dtype=np.float64, order="C")
         # by x-layers, in cache; negated so that NaN, which fails every comparison, is rejected
         if not all(v.min() >= 0.0 and v.max() <= 1.0 for v in vals):
             raise ValueError(
                 f"gray values must lie in [0, 1], got range "
                 f"[{vals.min()}, {vals.max()}]"
             )
-        if not adopted and np.may_share_memory(vals, self.values):
-            vals = vals.copy()  # the caller's array is never written or frozen
         if self.depth is not None:
             m = color_steps(self.depth)
             # by x-layers; a value off its color must be the color's float32 image

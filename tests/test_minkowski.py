@@ -44,17 +44,21 @@ BALL_REF = ball_quantities(8.0)
 
 def test_tensor_construction_and_symmetry():
     t = SymTensor3(np.diag([3.0, 2.0, 1.0]))
-    assert t.trace() == 6.0
-    assert t.frobenius() == pytest.approx(np.sqrt(14.0))
-    with pytest.raises(ValueError):
-        SymTensor3(np.arange(9.0).reshape(3, 3))  # grossly asymmetric
+    assert np.trace(t.mat) == 6.0
+    assert np.linalg.norm(t.mat) == pytest.approx(np.sqrt(14.0))
     with pytest.raises(ValueError):
         SymTensor3(np.zeros((2, 2)))
-    # tiny asymmetry is symmetrized away
-    m = np.eye(3)
-    m[0, 1] = 1e-12
-    t = SymTensor3(m)
-    assert t.mat[0, 1] == t.mat[1, 0]
+    # symmetry is exact at every scale: gross asymmetry and one flipped last bit
+    # are refused alike, also far below unit scale
+    for scale in (1.0, 1e-10, 1e-300):
+        with pytest.raises(ValueError, match="symmetric"):
+            SymTensor3(np.arange(9.0).reshape(3, 3) * scale)  # grossly asymmetric
+        m = np.eye(3) * scale
+        m[0, 1], m[1, 0] = scale, np.nextafter(scale, 0.0)
+        with pytest.raises(ValueError, match="symmetric"):
+            SymTensor3(m)
+        m[1, 0] = m[0, 1]  # a mirrored matrix is taken as is
+        assert np.array_equal(SymTensor3(m).mat, m)
 
 
 def test_symmetric_tensor_keeps_its_smallest_bits():
@@ -182,7 +186,7 @@ def test_surface_consistency_with_tensor_trace():
         g = random_grid(rng, (10, 10, 10), depth=3)
         r = analyze(g, None, "central", eps_rel=1e-12)
         s, w = r.surface_area, r.normal_tensor
-        assert abs(3 * w.trace() - s) / s <= 1e-9
+        assert abs(3 * np.trace(w.mat) - s) / s <= 1e-9
 
 
 def _whole_grid_sums(vals, h, scheme, eps_rel):
@@ -315,7 +319,7 @@ def test_analyze_metadata_and_invariants():
     g = displaced_ball(8, 2)
     s = analyze(g, kernel=BallKernel(1.2), scheme="central")
     assert not s.degenerate
-    assert s.qnt.trace() == 1.0
+    assert np.trace(s.qnt.mat) == 1.0
     assert s.qnt.eigenvalues()[-1] >= -1e-10  # PSD
     assert 0.0 <= s.beta <= 1.0
     # a ball is isotropic: beta near one, QNT near I/3
@@ -333,7 +337,7 @@ def test_analyze_translation_invariant():
             s = analyze(shift(g, d), kernel=kern)
             assert abs(s.volume - base.volume) <= 1e-10 * base.volume
             assert abs(s.surface_area - base.surface_area) <= 1e-10 * base.surface_area
-            scale = base.normal_tensor.frobenius()
+            scale = np.linalg.norm(base.normal_tensor.mat)
             assert np.abs(s.normal_tensor.mat - base.normal_tensor.mat).max() \
                 <= 1e-10 * scale
 
@@ -343,7 +347,7 @@ def test_analyze_cube_equivariant():
     g = quantize(random_grid(rng, (8, 8, 8)), 3)
     for kern in (None, GaussianKernel(1.2), BallKernel(1.2)):
         base = analyze(g, kernel=kern)
-        scale = base.normal_tensor.frobenius()
+        scale = np.linalg.norm(base.normal_tensor.mat)
         for mat, apply in cube_symmetries():
             moved = VoxelGrid(np.ascontiguousarray(apply(g.values)),
                               spacing=g.spacing, depth=g.depth)
@@ -363,7 +367,7 @@ def test_analyze_additive_for_separated_balls():
     gu = voxelize(ShapeUnion((a, b)), dims, h, 2)
     for kern in (None, BallKernel(1.2)):
         sa, sb, su = (analyze(x, kernel=kern) for x in (ga, gb, gu))
-        scale = su.normal_tensor.frobenius()
+        scale = np.linalg.norm(su.normal_tensor.mat)
         assert abs(su.surface_area - sa.surface_area - sb.surface_area) \
             <= 1e-10 * su.surface_area
         assert np.abs(su.normal_tensor.mat - sa.normal_tensor.mat
@@ -437,3 +441,15 @@ def test_power_of_two_spacing_scales_the_estimates_exactly(volume, kernel, eps_r
     if not base.degenerate:
         assert np.array_equal(scaled.qnt.mat, base.qnt.mat)
         assert scaled.beta == base.beta
+
+
+def test_power_of_two_spacing_keeps_w_entries_just_above_the_normal_floor():
+    # the property above does not reach W entries in [2^-1022, 2^-1021): here one with
+    # an odd last bit, which halving and doubling back, (m / 2 + m.T / 2), would round
+    vals = quantize(VoxelGrid(np.random.default_rng(1).random((7, 7, 7)), 1.0, None), 2).values
+    base, scaled = (analyze(VoxelGrid(vals, h, 2), None, "central", 4e306) for h in (1.0, 2.0))
+    w = base.normal_tensor.mat
+    low = (np.abs(w) >= 2.0**-1022) & (np.abs(w) < 2.0**-1021) & (w.view(np.int64) % 2 == 1)
+    assert low.any()
+    assert np.array_equal(scaled.normal_tensor.mat, np.ldexp(w, 2))
+    assert np.array_equal(scaled.qnt.mat, base.qnt.mat) and scaled.beta == base.beta

@@ -1,9 +1,16 @@
 import ast
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
+import pytest
+
 import minkvox
+
+SRC = Path(minkvox.__file__).resolve().parents[1]
 
 
 def test_every_module_defines_its_all():
@@ -32,3 +39,20 @@ def test_names_shared_between_modules_are_in_the_owners_all():
                 unlisted = [a.name for a in node.names
                             if a.name not in getattr(owner, "__all__", ())]
                 assert not unlisted, (path.name, node.module, unlisted)
+
+
+def test_python_dash_m_runs_the_cli():
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    run = subprocess.run([sys.executable, "-m", "minkvox", "--help"], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.startswith("usage: minkvox")
+
+
+def test_console_script_names_the_cli_main():
+    tomllib = pytest.importorskip("tomllib")  # Python >= 3.11
+    with open(SRC.parent / "pyproject.toml", "rb") as fh:
+        target = tomllib.load(fh)["project"]["scripts"]["minkvox"]
+    assert target == "minkvox.cli:main"
+    module, _, attr = target.partition(":")
+    assert callable(getattr(importlib.import_module(module), attr))

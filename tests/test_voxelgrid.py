@@ -116,6 +116,27 @@ def test_grid_owns_its_values_for_every_input_layout():
             assert not np.may_share_memory(g.values, a), case
 
 
+def test_grid_copies_a_callers_array_once():
+    # one grid-sized allocation, 8 B/voxel, per construction from a caller's array,
+    # whatever its layout and dtype; a second copy would peak at 16 B/voxel or more
+    rng = np.random.default_rng(16)
+    dims = (64, 64, 64)
+    colors = rng.integers(0, 8, dims) / 7
+    inputs = {
+        "C float64 colors": (colors, 2),
+        "F float32 view": (colors.astype(np.float32).ravel(order="F").reshape(dims, order="F"), 2),
+        "continuous": (rng.random(dims), None),
+    }
+    for name, (a, depth) in inputs.items():
+        tracemalloc.start()
+        try:
+            VoxelGrid(a, 1.0, depth)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / a.size <= 9.6, (name, peak / a.size)
+
+
 def test_voxelize_covering_ball_all_ones():
     # radius >= box diagonal: every sample point is inside, any depth
     n = 6
