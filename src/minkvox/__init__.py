@@ -18,14 +18,7 @@ from .voxelgrid import (
     voxelize,
 )
 from .gradient import SCHEMES
-from .filters import (
-    BallKernel,
-    GaussianKernel,
-    Kernel,
-    fft_convolve,
-    kernel_name,
-    support_radius,
-)
+from .filters import BallKernel, GaussianKernel, Kernel, fft_convolve
 from .minkowski import (
     DEFAULT_EPS_REL,
     MinkowskiSummary,

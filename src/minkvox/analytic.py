@@ -76,12 +76,12 @@ class FiberSpec:
     def __post_init__(self):
         check_cylinder("fiber", self.axis, self.length, self.diameter)
 
-    def aspect(self) -> float:
-        return self.length / self.diameter
 
-    def outer(self) -> np.ndarray:
-        p = np.asarray(self.axis, dtype=np.float64)
-        return np.outer(p, p)
+def _cylinder_shape(fiber: FiberSpec) -> np.ndarray:
+    """p p^T + (L/D) (Id - p p^T), the interface tensor of a capped cylinder up to scale."""
+    p = np.asarray(fiber.axis, dtype=np.float64)
+    pp = np.outer(p, p)
+    return pp + fiber.length / fiber.diameter * (np.eye(3) - pp)
 
 
 def cylinder_normal_tensor(fiber: FiberSpec) -> SymTensor3:
@@ -90,9 +90,7 @@ def cylinder_normal_tensor(fiber: FiberSpec) -> SymTensor3:
     W = (pi D^2 / 6) [ p p^T + (L/D) (Id - p p^T) ]; the first term collects
     the two flat caps, the second the lateral surface.
     """
-    pp = fiber.outer()
-    a = fiber.aspect()
-    return SymTensor3(np.pi * fiber.diameter**2 / 6 * (pp + a * (np.eye(3) - pp)))
+    return SymTensor3(np.pi * fiber.diameter**2 / 6 * _cylinder_shape(fiber))
 
 
 def cylinder_qnt(fiber: FiberSpec) -> SymTensor3:
@@ -101,9 +99,7 @@ def cylinder_qnt(fiber: FiberSpec) -> SymTensor3:
     QNT = 1/(1 + 2 L/D) [ p p^T + (L/D)(Id - p p^T) ]; its eigenvalue ratio
     is D/L for L >= D, so long thin fibers are strongly anisotropic.
     """
-    pp = fiber.outer()
-    a = fiber.aspect()
-    return SymTensor3(unit_trace(pp + a * (np.eye(3) - pp)))
+    return SymTensor3(unit_trace(_cylinder_shape(fiber)))
 
 
 def fiber_system_tensors(fibers) -> tuple[SymTensor3, SymTensor3, SymTensor3]:

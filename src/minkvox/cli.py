@@ -16,7 +16,8 @@ import numpy as np
 from . import convergence
 from .errors import DegenerateImageError, NumericalError, VolumeFormatError
 from .filters import BallKernel, GaussianKernel, Kernel
-from .minkowski import DEFAULT_EPS_REL, SymTensor3, analyze, relative_tensor_error
+from .minkowski import (COMPONENTS, DEFAULT_EPS_REL, FULL, SymTensor3, analyze,
+                        relative_tensor_error)
 from .fiberorient import DEFAULT_MASK_THRESHOLD_REL, structure_tensor_orientation
 from .gradient import SCHEMES
 from .volio import load_volume, store_volume
@@ -34,7 +35,7 @@ _EXIT_CODES = {ValueError: 1, MemoryError: 1, VolumeFormatError: 2,
 class _Parser(argparse.ArgumentParser):
     # argparse exits with status 2 on bad flags; we reserve 2 for I/O errors
     def error(self, message):
-        raise ValueError(f"{self.prog}: error: {message}")
+        raise ValueError(message)
 
 
 def _fmt(x) -> str:
@@ -84,8 +85,7 @@ def _tensor(t: SymTensor3 | None):
 
 
 def _tensor_columns(prefix: str, key: str):
-    pairs = (("xx", 0, 0), ("yy", 1, 1), ("zz", 2, 2), ("xy", 0, 1), ("xz", 0, 2), ("yz", 1, 2))
-    return [(f"{prefix}_{name}", (key, i, j)) for name, i, j in pairs]
+    return [(f"{prefix}_{'xyz'[i]}{'xyz'[j]}", (key, i, j)) for i, j in COMPONENTS]
 
 
 def _keys(*names, under=()):
@@ -177,12 +177,12 @@ def _cmd_analyze(args) -> int:
     grid = load_volume(args.infile)
     kernel = make_kernel(args.kernel, args.sigma)
     summary = analyze(grid, kernel=kernel, scheme=args.scheme, eps_rel=args.eps_rel)
-    if summary.degenerate:
+    if summary.qnt is None:
         print(
             "warning: degenerate image (no interfaces); qnt and beta are undefined",
             file=sys.stderr,
         )
-    qnt_eigs = None if summary.qnt is None else [float(v) for v in summary.qnt.eigenvalues()]
+    qnt_eigs = None if summary.qnt is None else [float(v) for v in summary.qnt.eigensystem()[0]]
     report = {
         "volume": summary.volume,
         "surface_area": summary.surface_area,
@@ -190,7 +190,7 @@ def _cmd_analyze(args) -> int:
         "qnt": _tensor(summary.qnt),
         "qnt_eigenvalues": qnt_eigs,
         "beta": summary.beta,
-        "degenerate": summary.degenerate,
+        "degenerate": summary.qnt is None,
         "config": {
             "scheme": args.scheme,
             "kernel": args.kernel,
@@ -241,8 +241,7 @@ _ORIENT_COLUMNS = (
 def _cmd_fiber_orient(args) -> int:
     ref = None
     if args.reference is not None:
-        xx, yy, zz, xy, xz, yz = args.reference
-        ref = SymTensor3(np.array([[xx, xy, xz], [xy, yy, yz], [xz, yz, zz]]))
+        ref = SymTensor3(np.array(args.reference)[FULL].reshape(3, 3))
     first = make_kernel(args.first_kernel, args.first_sigma)
     second = make_kernel(args.second_kernel, args.second_sigma)
     result = structure_tensor_orientation(

@@ -10,7 +10,6 @@ import numpy as np
 
 from .analytic import FiberSpec, ball_quantities, cylinder_normal_tensor, cylinder_qnt
 from .errors import DegenerateImageError
-from .filters import kernel_name
 from .minkowski import DEFAULT_EPS_REL, analyze, relative_tensor_error
 from .voxelgrid import SPACING_RANGE_UM, Ball, Cylinder, voxelize
 
@@ -104,7 +103,7 @@ def run_convergence(
                 start = time.perf_counter()
                 summary = analyze(grid, kernel=kernel, scheme=scheme, eps_rel=eps_rel)
                 elapsed = time.perf_counter() - start
-                if summary.degenerate:
+                if summary.qnt is None:
                     raise DegenerateImageError(
                         f"degenerate image at D/h = {float(res):.17g} (depth {p}): "
                         f"no interfaces, so the QNT is undefined"
@@ -113,7 +112,7 @@ def run_convergence(
                     ConvergenceRow(
                         d_over_h=float(res),
                         depth=p,
-                        kernel=kernel_name(kernel),
+                        kernel="none" if kernel is None else kernel.name,
                         sigma=None if kernel is None else kernel.sigma,
                         scheme=scheme,
                         volume=summary.volume,

@@ -34,7 +34,7 @@ import numpy as np
 from .errors import DegenerateImageError
 from .filters import Kernel, apply_transfer, fft_convolve, field_buffer, kernel_transfer
 from .gradient import SLAB, stencil
-from .minkowski import SymTensor3, unit_trace
+from .minkowski import COMPONENTS, FULL, SymTensor3, unit_trace
 from .voxelgrid import VoxelGrid
 
 __all__ = [
@@ -51,10 +51,6 @@ EIGENVALUE_TIE_REL = 1e-12
 CLOSED_FORM_GAP_REL = 1e-4
 # grid voxels per eigen-stage chunk; keeps the per-voxel temporaries in cache
 _CHUNK = 1 << 14
-# component order of the structure tensor: xx, yy, zz, xy, xz, yz
-_PAIRS = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
-# those components in the row-major order of the full 3x3 tensor
-_FULL = [0, 3, 4, 3, 1, 5, 4, 5, 2]
 
 
 @dataclass(frozen=True)
@@ -115,7 +111,7 @@ def structure_tensor_orientation(
     held = []
     for x0 in range(0, len(f), SLAB):
         g = stencil(f, x0, x0 + SLAB, spacing, scheme)
-        for slot, (i, j) in enumerate(_PAIRS[:5]):
+        for slot, (i, j) in enumerate(COMPONENTS[:5]):
             np.multiply(g[i], g[j], out=blurred[slot, x0:x0 + SLAB])
         held.append((x0, g))
         if len(held) == 3:
@@ -164,7 +160,7 @@ def minor_projector_sum(comps: np.ndarray) -> np.ndarray:
     mat, adj = block[:18].reshape(2, 3, 3, n)
     diag = block[:9:4]  # mat[0, 0], mat[1, 1] and mat[2, 2]
     q, p, det, lam_max, lam_min, t, u = block[18:]
-    for slot, (i, j) in enumerate(_PAIRS[3:], 3):
+    for slot, (i, j) in enumerate(COMPONENTS[3:], 3):
         mat[i, j] = mat[j, i] = comps[slot]
     np.mean(comps[:3], axis=0, out=q)
     np.subtract(comps[:3], q, out=diag)  # the deviator D = A - q I
@@ -196,9 +192,9 @@ def minor_projector_sum(comps: np.ndarray) -> np.ndarray:
     # delta * gap across v, where delta is the error of lam_min and g1, g2
     # are the gaps above it; B^2 / tr(B^2) is v v^T up to (delta / g1)^2
     np.subtract(comps[:3], lam_min, out=diag)
-    _cofactors(mat, _PAIRS, adj, t)
+    _cofactors(mat, COMPONENTS, adj, t)
     sq = block[:6]
-    for row, (i, j) in zip(sq, _PAIRS):
+    for row, (i, j) in zip(sq, COMPONENTS):
         np.einsum("kn,kn->n", adj[i], adj[j], out=row)
     tr = np.sum(sq[:3], axis=0, out=t)
     fallback |= ~(tr > 0)
@@ -208,7 +204,7 @@ def minor_projector_sum(comps: np.ndarray) -> np.ndarray:
         total += _eigh_projector_sum(comps[:, fallback])
         keep = ~fallback
         sq, tr = sq[:, keep], tr[keep]
-    return total + (sq @ np.divide(1, tr, out=tr))[_FULL].reshape(3, 3)
+    return total + (sq @ np.divide(1, tr, out=tr))[FULL].reshape(3, 3)
 
 
 def _cofactors(mat, pairs, out, t):
@@ -225,7 +221,7 @@ def _cofactors(mat, pairs, out, t):
 def _eigh_projector_sum(comps):
     """minor_projector_sum by a batched np.linalg.eigh, for the voxels the
     closed form cannot resolve; this is where the tie rule applies."""
-    tensors = comps[_FULL].T.reshape(-1, 3, 3)
+    tensors = comps[FULL].T.reshape(-1, 3, 3)
     vals, vecs = np.linalg.eigh(tensors)  # ascending eigenvalues
     scale = np.abs(vals[:, 2])
     tied_low = vals[:, 1] - vals[:, 0] <= EIGENVALUE_TIE_REL * scale

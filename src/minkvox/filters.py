@@ -32,8 +32,6 @@ __all__ = [
     "GaussianKernel",
     "BallKernel",
     "Kernel",
-    "kernel_name",
-    "support_radius",
     "kernel_transfer",
     "field_buffer",
     "apply_transfer",
@@ -72,15 +70,6 @@ class BallKernel(_SigmaKernel):
 Kernel = GaussianKernel | BallKernel | None
 
 
-def kernel_name(kernel: Kernel) -> str:
-    return "none" if kernel is None else kernel.name
-
-
-def support_radius(kernel: Kernel, spacing: float) -> float:
-    """Physical radius beyond which the sampled kernel is identically zero."""
-    return 0.0 if kernel is None else kernel.reach * spacing * kernel.sigma
-
-
 def _box_samples(kernel: Kernel, dims, spacing: float):
     """Normalized samples on the support box and, per axis, their grid indices.
 
@@ -99,7 +88,7 @@ def _box_samples(kernel: Kernel, dims, spacing: float):
     reach = kernel.reach * kernel.sigma  # support radius in voxels
     if not reach < min(dims) / 2:
         raise KernelSupportError(
-            f"kernel support radius {support_radius(kernel, h)} does not fit into "
+            f"kernel support radius {kernel.reach * h * kernel.sigma} does not fit into "
             f"half the box {min(dims) * h / 2}"
         )
     hs = h * kernel.sigma

@@ -34,6 +34,8 @@ from .gradient import SLAB, stencil
 from .voxelgrid import VoxelGrid
 
 __all__ = [
+    "COMPONENTS",
+    "FULL",
     "SymTensor3",
     "MinkowskiSummary",
     "unit_trace",
@@ -44,12 +46,16 @@ __all__ = [
 ]
 
 DEFAULT_EPS_REL = 1e-12
+# the six (i, j) components of a symmetric tensor, in the order xx, yy, zz, xy, xz, yz
+COMPONENTS = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
+# for each row-major entry of the 3x3 matrix, the index of its component
+FULL = [0, 3, 4, 3, 1, 5, 4, 5, 2]
 
 
 @dataclass(frozen=True)
 class SymTensor3:
     """Exactly symmetric 3x3 tensor, held as a read-only C float64 copy of ``mat``, with
-    deterministic eigendecomposition helpers.  Asymmetry in any bit raises ValueError; a
+    a deterministic eigendecomposition.  Asymmetry in any bit raises ValueError; a
     caller with round-off asymmetry symmetrizes first, as ``np.triu(m) + np.triu(m, 1).T``."""
 
     mat: np.ndarray
@@ -64,11 +70,6 @@ class SymTensor3:
             raise ValueError("matrix is not exactly symmetric")
         mat.setflags(write=False)
         object.__setattr__(self, "mat", mat)
-
-    def eigenvalues(self) -> np.ndarray:
-        """Eigenvalues in descending order."""
-        # same code path as eigensystem() so the two agree bit-for-bit
-        return self.eigensystem()[0]
 
     def eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
         """Eigenvalues (descending) and matching orthonormal eigenvectors.
@@ -101,7 +102,7 @@ def unit_trace(mat: np.ndarray) -> np.ndarray:
 
 def eigenvalue_ratio(tensor: SymTensor3) -> float:
     """Degree of anisotropy: smallest to largest eigenvalue magnitude."""
-    vals = np.abs(tensor.eigenvalues())
+    vals = np.abs(tensor.eigensystem()[0])
     top = float(vals.max())
     if top == 0.0:
         raise ValueError("eigenvalue ratio undefined for the zero tensor")
@@ -128,9 +129,9 @@ def relative_tensor_error(estimate: SymTensor3, reference: SymTensor3) -> float:
 class MinkowskiSummary:
     """Estimates of one image; the caller knows the configuration that made them.
 
-    ``qnt`` and ``beta`` are None for degenerate images, flagged by
-    ``degenerate``: those whose filtered field has no voxel of nonzero
-    gradient, such as any constant image (all-solid, all-void or all-0.5).
+    ``qnt`` and ``beta`` are None for degenerate images: those whose filtered
+    field has no voxel of nonzero gradient, such as any constant image
+    (all-solid, all-void or all-0.5).
     """
 
     volume: float
@@ -138,7 +139,6 @@ class MinkowskiSummary:
     normal_tensor: SymTensor3
     qnt: SymTensor3 | None
     beta: float | None
-    degenerate: bool
 
 
 def analyze(
@@ -170,7 +170,7 @@ def analyze(
     # the weights h^3 / (|g| + eps) go subnormal when eps dwarfs h^3, so they are
     # summed times 2^k, k even (so exact under the square root), and scaled back
     k = 2 * max(0, (math.frexp(eps)[1] - math.frexp(h**3)[1]) // 2) if eps > 0 else 0
-    total, mat = 0.0, np.zeros((3, 3))
+    total, w = 0.0, np.zeros(6)
     for x0 in starts:
         g, norms = slab(x0)
         total += float(np.sqrt(norms, out=norms).sum())
@@ -179,9 +179,9 @@ def analyze(
         # (BLAS ddot), about 6x faster than g @ g.T on a slab of 4 x 192^2 voxels
         g = np.compress(keep, g, axis=1)
         g *= np.sqrt(math.ldexp(h**3, k) / (np.compress(keep, norms) + eps))
-        for i, j in zip(*np.triu_indices(3)):
-            mat[i, j] += g[i] @ g[j]
-    mat += np.triu(mat, 1).T  # mirrored: W is exactly symmetric
+        for slot, (i, j) in enumerate(COMPONENTS):
+            w[slot] += g[i] @ g[j]
+    mat = w[FULL].reshape(3, 3)  # exactly symmetric
     # S > 0 implies tr W > 0 in exact arithmetic; a subnormal tr W of fewer than 2^40
     # steps of 2^-1074 has lost the 1e-12 precision of the exact identities
     if total > 0 and not np.trace(np.ldexp(mat, -k)) >= 2.0**-1034:
@@ -192,5 +192,4 @@ def analyze(
         q = SymTensor3(unit_trace(mat))
         beta = eigenvalue_ratio(q)
     return MinkowskiSummary(volume=float(image.values.sum()) * h**3, surface_area=total * h**3,
-                            normal_tensor=SymTensor3(np.ldexp(mat, -k)), qnt=q, beta=beta,
-                            degenerate=q is None)
+                            normal_tensor=SymTensor3(np.ldexp(mat, -k)), qnt=q, beta=beta)

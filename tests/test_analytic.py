@@ -89,9 +89,10 @@ def test_cylinder_tensor_matches_axis_aligned_form():
 def test_cylinder_spectrum_rotation_invariant():
     diag_axis = np.array([1.0, 0.0, 1.0]) / np.sqrt(2)
     for aspect in (2.0, 10.0, 25.0):
-        lam_axis = cylinder_normal_tensor(fiber(EZ, aspect)).eigenvalues()
+        lam_axis = cylinder_normal_tensor(
+            fiber(EZ, aspect)).eigensystem()[0]
         lam_diag = cylinder_normal_tensor(
-            fiber(diag_axis, aspect)).eigenvalues()
+            fiber(diag_axis, aspect)).eigensystem()[0]
         assert np.abs(lam_axis - lam_diag).max() <= 1e-12 * lam_axis[0]
 
 
@@ -124,7 +125,7 @@ def test_fiber_qnt_has_double_eigenvalue():
         ax = rng.normal(size=3)
         ax /= np.linalg.norm(ax)
         q = cylinder_qnt(FiberSpec(axis=ax, length=12.0, diameter=1.5))
-        lam = q.eigenvalues()
+        lam = q.eigensystem()[0]
         # transverse isotropy about the axis
         assert abs(lam[0] - lam[1]) <= 1e-12 * lam[0]
         assert lam[2] < lam[1]

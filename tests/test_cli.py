@@ -64,6 +64,14 @@ def test_usage_errors_exit_1(capsys, tmp_path):
     assert rc == 1 and "--diameter" in err
 
 
+def test_usage_error_line_has_one_prefix(capsys):
+    for args, message in (
+        ((), "the following arguments are required: command"),
+        (("analyze", "--in", "x", "--sigma", "q"), "argument --sigma: invalid float value: 'q'"),
+    ):
+        assert _run(capsys, *args) == (1, "", f"minkvox: error: {message}\n")
+
+
 def test_generate_out_of_box_exits_1(capsys, tmp_path):
     rc, _, err = _run(
         capsys, "generate", "--shape", "ball", "--dims", 8, 8, 8,
@@ -396,6 +404,24 @@ def test_fiber_orient_json_report(capsys, tmp_path):
     }
     vals = report["eigenvalues"]
     assert vals == sorted(vals, reverse=True)
+
+
+def test_fiber_orient_reference_takes_xx_yy_zz_xy_xz_yz(capsys, tmp_path):
+    # an oblique fiber's tensor has three distinct off-diagonals, so its own six
+    # components given back as --reference pin their order
+    path = tmp_path / "fiber.raw"
+    rc, _, err = _run(capsys, "generate", "--shape", "cylinder", "--dims", 24, 24, 24,
+                      "--axis", 0.48, 0.6, 0.64, "--diameter", 5, "--length", 14,
+                      "--depth", 2, "--out", path)
+    assert rc == 0, err
+    args = ("fiber-orient", "--in", path, "--second-sigma", 2)
+    a = np.array(json.loads(_run(capsys, *args)[1])["orientation_tensor"])
+    six = [a[0, 0], a[1, 1], a[2, 2], a[0, 1], a[0, 2], a[1, 2]]
+    xy_xz_swapped = six[:3] + [six[4], six[3], six[5]]
+    errors = [json.loads(_run(capsys, *args, "--reference", *ref)[1])["reference_error"]
+              for ref in (six, xy_xz_swapped)]
+    assert errors[0] == 0.0
+    assert errors[1] > 0.01
 
 
 def test_fiber_orient_csv_schema(capsys, tmp_path):

@@ -10,8 +10,6 @@ from minkvox import (
     VoxelGrid,
     analyze,
     fft_convolve,
-    kernel_name,
-    support_radius,
     voxelize,
 )
 from minkvox import filters
@@ -46,12 +44,10 @@ def test_kernel_validation_and_names():
         GaussianKernel(0.0)
     with pytest.raises(ValueError):
         BallKernel(-1.0)
-    assert kernel_name(None) == "none"
-    assert kernel_name(GaussianKernel(1.0)) == "gaussian"
-    assert kernel_name(BallKernel(1.0)) == "ball"
-    assert support_radius(None, 2.0) == 0.0
-    assert support_radius(GaussianKernel(1.5), 2.0) == GAUSSIAN_TRUNCATION_SIGMAS * 3.0
-    assert support_radius(BallKernel(1.5), 2.0) == 3.0
+    assert GaussianKernel(1.0).name == "gaussian"
+    assert BallKernel(1.0).name == "ball"
+    assert GaussianKernel(1.5).reach == GAUSSIAN_TRUNCATION_SIGMAS
+    assert BallKernel(1.5).reach == 1.0
 
 
 def test_sample_kernel_normalization():

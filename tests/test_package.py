@@ -41,6 +41,25 @@ def test_names_shared_between_modules_are_in_the_owners_all():
                 assert not unlisted, (path.name, node.module, unlisted)
 
 
+def test_every_imported_name_is_used():
+    # an import left behind by a deletion, while its owner still defines the name,
+    # passes the __all__ checks above; __init__ imports only to re-export
+    for path in sorted(Path(minkvox.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        imported, used = set(), set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import) or (
+                    isinstance(node, ast.ImportFrom) and node.module != "__future__"):
+                imported.update((a.asname or a.name).partition(".")[0] for a in node.names)
+            elif isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Constant):  # the strings of __all__
+                used.add(node.value)
+        assert imported <= used, (path.name, sorted(imported - used))
+
+
 def test_python_dash_m_runs_the_cli():
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     run = subprocess.run([sys.executable, "-m", "minkvox", "--help"], env=env,
