@@ -3,7 +3,6 @@ of gray-value voxel images."""
 
 from .errors import (
     DegenerateImageError,
-    KernelSupportError,
     NumericalError,
     VolumeFormatError,
 )
@@ -29,11 +28,10 @@ from .minkowski import (
     unit_trace,
 )
 from .analytic import (
-    BallQuantities,
+    BodyQuantities,
     FiberSpec,
     ball_quantities,
-    cylinder_normal_tensor,
-    cylinder_qnt,
+    cylinder_quantities,
     fiber_system_tensors,
     steiner_volume,
 )

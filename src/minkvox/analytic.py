@@ -1,4 +1,5 @@
-"""Closed-form reference values for balls, cylinders and fiber systems."""
+"""Closed-form reference values: one ``BodyQuantities`` record (V, S, W, QNT) per
+ball or cylinder, the Steiner volume of a ball and the tensors of fiber systems."""
 
 from __future__ import annotations
 
@@ -10,49 +11,44 @@ from .minkowski import SymTensor3, unit_trace
 from .voxelgrid import check_cylinder
 
 __all__ = [
-    "BallQuantities",
+    "BodyQuantities",
     "FiberSpec",
     "ball_quantities",
     "steiner_volume",
-    "cylinder_normal_tensor",
-    "cylinder_qnt",
+    "cylinder_quantities",
     "fiber_system_tensors",
 ]
 
 
 @dataclass(frozen=True)
-class BallQuantities:
-    """Intrinsic volumes and interface tensor of a solid ball."""
+class BodyQuantities:
+    """Volume, surface area, interface tensor W and QNT of a reference body."""
 
     volume: float
     surface_area: float
     normal_tensor: SymTensor3
     qnt: SymTensor3
-    mean_width_integral: float  # V_1 in the Steiner expansion
-    euler: float  # V_0
 
 
-def ball_quantities(radius: float) -> BallQuantities:
+def ball_quantities(radius: float) -> BodyQuantities:
     """Exact quantities of a ball: V = 4 pi R^3 / 3, S = 4 pi R^2, W = S/9 * Id."""
     if not radius > 0:
         raise ValueError(f"radius must be positive, got {radius}")
     r = float(radius)
     surface = 4 * np.pi * r**2
-    return BallQuantities(
+    return BodyQuantities(
         volume=4 * np.pi * r**3 / 3,
         surface_area=surface,
         normal_tensor=SymTensor3(np.eye(3) * (surface / 9)),
         qnt=SymTensor3(np.eye(3) / 3),
-        mean_width_integral=4 * r,
-        euler=1.0,
     )
 
 
 def steiner_volume(radius: float, epsilon: float) -> float:
     """Volume of the parallel body of a ball at distance epsilon.
 
-    V(K_eps) = V + eps S + pi eps^2 V_1 + (4 pi / 3) eps^3 V_0, which for a
-    ball collapses to (4 pi / 3)(R + eps)^3.
+    V(K_eps) = V + eps S + pi eps^2 V_1 + (4 pi / 3) eps^3 V_0 with the ball's
+    V_1 = 4R and V_0 = 1, which collapses to (4 pi / 3)(R + eps)^3.
     """
     if epsilon < 0:
         raise ValueError(f"epsilon must be non-negative, got {epsilon}")
@@ -60,8 +56,8 @@ def steiner_volume(radius: float, epsilon: float) -> float:
     return (
         q.volume
         + epsilon * q.surface_area
-        + np.pi * epsilon**2 * q.mean_width_integral
-        + (4 * np.pi / 3) * epsilon**3 * q.euler
+        + np.pi * epsilon**2 * (4 * float(radius))
+        + (4 * np.pi / 3) * epsilon**3
     )
 
 
@@ -77,29 +73,23 @@ class FiberSpec:
         check_cylinder("fiber", self.axis, self.length, self.diameter)
 
 
-def _cylinder_shape(fiber: FiberSpec) -> np.ndarray:
-    """p p^T + (L/D) (Id - p p^T), the interface tensor of a capped cylinder up to scale."""
+def cylinder_quantities(fiber: FiberSpec) -> BodyQuantities:
+    """Exact quantities of a capped cylinder: V = pi (D/2)^2 L, S = pi D L + pi D^2 / 2.
+
+    W = (pi D^2 / 6) [ p p^T + (L/D) (Id - p p^T) ]: the two flat caps, then the
+    lateral surface.  The QNT is the bracket over its trace 1 + 2 L/D; its
+    eigenvalue ratio D/L (L >= D) makes long thin fibers strongly anisotropic.
+    """
+    d, length = fiber.diameter, fiber.length
     p = np.asarray(fiber.axis, dtype=np.float64)
     pp = np.outer(p, p)
-    return pp + fiber.length / fiber.diameter * (np.eye(3) - pp)
-
-
-def cylinder_normal_tensor(fiber: FiberSpec) -> SymTensor3:
-    """Interface tensor of a capped cylinder.
-
-    W = (pi D^2 / 6) [ p p^T + (L/D) (Id - p p^T) ]; the first term collects
-    the two flat caps, the second the lateral surface.
-    """
-    return SymTensor3(np.pi * fiber.diameter**2 / 6 * _cylinder_shape(fiber))
-
-
-def cylinder_qnt(fiber: FiberSpec) -> SymTensor3:
-    """Unit-trace interface tensor of a capped cylinder.
-
-    QNT = 1/(1 + 2 L/D) [ p p^T + (L/D)(Id - p p^T) ]; its eigenvalue ratio
-    is D/L for L >= D, so long thin fibers are strongly anisotropic.
-    """
-    return SymTensor3(unit_trace(_cylinder_shape(fiber)))
+    shape = pp + length / d * (np.eye(3) - pp)
+    return BodyQuantities(
+        volume=np.pi * (d / 2) ** 2 * length,
+        surface_area=np.pi * d * length + np.pi * d**2 / 2,
+        normal_tensor=SymTensor3(np.pi * d**2 / 6 * shape),
+        qnt=SymTensor3(unit_trace(shape)),
+    )
 
 
 def fiber_system_tensors(fibers) -> tuple[SymTensor3, SymTensor3, SymTensor3]:
@@ -120,7 +110,7 @@ def fiber_system_tensors(fibers) -> tuple[SymTensor3, SymTensor3, SymTensor3]:
     for f in fibers:
         p = np.asarray(f.axis, dtype=np.float64)
         a_mat += np.outer(p, p)
-        w_mat += cylinder_normal_tensor(f).mat
+        w_mat += cylinder_quantities(f).normal_tensor.mat
     n = len(fibers)
     w = SymTensor3(w_mat)
     qnt = SymTensor3(unit_trace(w_mat))

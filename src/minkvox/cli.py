@@ -26,8 +26,8 @@ from .voxelgrid import Ball, Cylinder, Laminate, ShapeUnion, shape_in_box, voxel
 __all__ = ["main", "make_kernel"]
 
 
-# the first class an exception is an instance of gives the exit code; usage errors and
-# KernelSupportError are ValueErrors; a MemoryError is a job too big for the host
+# the first class an exception is an instance of gives the exit code; usage errors are
+# ValueErrors; a MemoryError is a job too big for the host
 _EXIT_CODES = {ValueError: 1, MemoryError: 1, VolumeFormatError: 2,
                OSError: 2, NumericalError: 3, DegenerateImageError: 3}
 

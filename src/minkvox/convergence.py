@@ -8,7 +8,7 @@ from functools import partial
 
 import numpy as np
 
-from .analytic import FiberSpec, ball_quantities, cylinder_normal_tensor, cylinder_qnt
+from .analytic import FiberSpec, ball_quantities, cylinder_quantities
 from .errors import DegenerateImageError
 from .minkowski import DEFAULT_EPS_REL, analyze, relative_tensor_error
 from .voxelgrid import SPACING_RANGE_UM, Ball, Cylinder, voxelize
@@ -33,17 +33,6 @@ class ConvergenceRow:
     qnt_err: float
     beta: float
     seconds: float
-
-
-def _references(diameter: float, fiber: FiberSpec | None):
-    """V, S, W and QNT of the ball of this diameter, or of the fiber."""
-    if fiber is None:
-        q = ball_quantities(diameter / 2)
-        return q.volume, q.surface_area, q.normal_tensor, q.qnt
-    length = fiber.length
-    v_ref = np.pi * (diameter / 2) ** 2 * length
-    s_ref = np.pi * diameter * length + np.pi * diameter**2 / 2
-    return v_ref, s_ref, cylinder_normal_tensor(fiber), cylinder_qnt(fiber)
 
 
 def run_convergence(
@@ -76,29 +65,29 @@ def run_convergence(
         raise ValueError(f"box factor must be positive and finite, got {box_factor}")
     disp = np.asarray(displacement, dtype=float).tolist()  # floats: inf - inf is NaN, unwarned
     lo, hi = SPACING_RANGE_UM
+    if shape == "ball":
+        box = (box_factor,) * 3
+        fiber = None
+        body_at = partial(Ball, radius=diameter / 2)
+    else:
+        box = (aspect + 1, 2, 2)
+        fiber = FiberSpec((1.0, 0.0, 0.0), aspect * diameter, diameter)
+        body_at = partial(Cylinder, axis=fiber.axis, length=fiber.length, diameter=diameter)
     rows = []
     for res in resolutions:
         if not (0 < res < np.inf):
             raise ValueError(f"resolutions (D/h) must be positive and finite, got {res}")
         h = diameter / res
-        # before the references: a ball volume overflows long before h does;
-        # h <= 0 and NaN are left to the body, which names the diameter
+        # before the references: a ball volume overflows long before h does; h <= 0
+        # and NaN are left to the ball here, or refused above by the fiber: each names D
         if h > hi or 0 < h < lo:
             raise ValueError(f"voxel size D/(D/h) = {h} um is outside [{lo:g}, {hi:g}] um")
-        if shape == "ball":
-            box = (box_factor,) * 3
-            fiber = None
-            body_at = partial(Ball, radius=diameter / 2)
-        else:
-            box = (aspect + 1, 2, 2)
-            fiber = FiberSpec((1.0, 0.0, 0.0), aspect * diameter, diameter)
-            body_at = partial(Cylinder, axis=fiber.axis, length=fiber.length, diameter=diameter)
         dims = tuple(int(round(b * res)) for b in box)
         body = body_at(tuple(n * h / 2 + x for n, x in zip(dims, disp)))
         for p in depths:
             # voxelized first: its layer check refuses a box whose references overflow
             grid = voxelize(body, dims, h, depth=p)
-            v_ref, s_ref, w_ref, q_ref = _references(diameter, fiber)
+            ref = ball_quantities(diameter / 2) if fiber is None else cylinder_quantities(fiber)
             for kernel in kernels:
                 start = time.perf_counter()
                 summary = analyze(grid, kernel=kernel, scheme=scheme, eps_rel=eps_rel)
@@ -117,10 +106,10 @@ def run_convergence(
                         scheme=scheme,
                         volume=summary.volume,
                         surface_area=summary.surface_area,
-                        volume_err=(summary.volume - v_ref) / v_ref,
-                        surface_err=(summary.surface_area - s_ref) / s_ref,
-                        tensor_err=relative_tensor_error(summary.normal_tensor, w_ref),
-                        qnt_err=relative_tensor_error(summary.qnt, q_ref),
+                        volume_err=(summary.volume - ref.volume) / ref.volume,
+                        surface_err=(summary.surface_area - ref.surface_area) / ref.surface_area,
+                        tensor_err=relative_tensor_error(summary.normal_tensor, ref.normal_tensor),
+                        qnt_err=relative_tensor_error(summary.qnt, ref.qnt),
                         beta=summary.beta,
                         seconds=elapsed,
                     )

@@ -4,7 +4,6 @@ __all__ = [
     "VolumeFormatError",
     "NumericalError",
     "DegenerateImageError",
-    "KernelSupportError",
 ]
 
 
@@ -18,7 +17,3 @@ class NumericalError(Exception):
 
 class DegenerateImageError(Exception):
     """Raised when an image carries no interface information."""
-
-
-class KernelSupportError(ValueError):
-    """Raised when a filter kernel does not fit into the grid."""

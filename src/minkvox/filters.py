@@ -24,7 +24,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .errors import KernelSupportError, NumericalError
+from .errors import NumericalError
 from .gradient import wrap_pieces
 from .voxelgrid import VoxelGrid
 
@@ -77,7 +77,7 @@ def _box_samples(kernel: Kernel, dims, spacing: float):
     in the support when its integer squared offset, in voxels, is at most
     ``(kernel.reach * kernel.sigma)**2``, so the same points are kept at every
     h.  Summing the integer squares before scaling keeps the samples bitwise
-    invariant under all 48 cube symmetries.  Raises KernelSupportError if the
+    invariant under all 48 cube symmetries.  Raises ValueError if the
     radius in voxels is not below half the shortest edge, or if (h sigma)^3
     or its reciprocal is not a finite nonzero float.
     """
@@ -87,7 +87,7 @@ def _box_samples(kernel: Kernel, dims, spacing: float):
     h = spacing
     reach = kernel.reach * kernel.sigma  # support radius in voxels
     if not reach < min(dims) / 2:
-        raise KernelSupportError(
+        raise ValueError(
             f"kernel support radius {kernel.reach * h * kernel.sigma} does not fit into "
             f"half the box {min(dims) * h / 2}"
         )
@@ -98,7 +98,7 @@ def _box_samples(kernel: Kernel, dims, spacing: float):
     except OverflowError:
         in_range = False
     if not in_range:
-        raise KernelSupportError(
+        raise ValueError(
             f"kernel width h*sigma = {hs} is out of range: (h*sigma)^3 and its "
             f"reciprocal must be finite and nonzero"
         )

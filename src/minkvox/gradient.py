@@ -6,10 +6,10 @@ import numpy as np
 
 __all__ = ["SCHEMES", "SLAB", "stencil", "wrap_pieces"]
 
-SCHEMES = ("central", "forward", "backward")
 SLAB = 4  # x-layers per stencil call in minkowski and fiberorient; bounds temporaries
 # per scheme: f(x + up) - f(x + down) over div * h, offsets in voxels along the axis
 _STENCILS = {"central": (1, -1, 2), "forward": (1, 0, 1), "backward": (0, -1, 1)}
+SCHEMES = tuple(_STENCILS)
 
 
 class VectorField:
@@ -17,7 +17,7 @@ class VectorField:
 
 
 def stencil(f: np.ndarray, x0: int, x1: int, h: float, scheme: str) -> np.ndarray:
-    """Gradient, shape (3, x1 - x0, ny, nz), of x-layers x0:x1 of the periodic array f.
+    """Gradient, shape (3, len(f[x0:x1]), ny, nz), of x-layers x0:x1 of the periodic array f.
 
     ``central`` uses (f(x + h e_i) - f(x - h e_i)) / 2h, ``forward`` and
     ``backward`` the corresponding one-sided differences.  Neighbors across

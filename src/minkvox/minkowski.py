@@ -161,7 +161,7 @@ def analyze(
     starts = range(0, f.shape[0], SLAB)
 
     def slab(x0):
-        g = stencil(f, x0, min(x0 + SLAB, f.shape[0]), h, scheme).reshape(3, -1)
+        g = stencil(f, x0, x0 + SLAB, h, scheme).reshape(3, -1)
         return g, np.einsum("ij,ij->j", g, g)
 
     gmax = math.sqrt(max(float(sq.max()) for _, sq in map(slab, starts)))  # bitwise max |g|
