@@ -191,6 +191,8 @@ def _cmd_analyze(args) -> int:
         "qnt_eigenvalues": qnt_eigs,
         "beta": summary.beta,
         "degenerate": summary.qnt is None,
+        "interface_voxels": summary.interface_voxels,
+        "gmax": summary.gmax,
         "config": {
             "scheme": args.scheme,
             "kernel": args.kernel,

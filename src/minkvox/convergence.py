@@ -54,8 +54,8 @@ def run_convergence(
     ``(L + D, 2D, 2D)``.  ``displacement`` shifts the body center away from
     the box center, in physical units, so sub-voxel placement effects can be
     probed.  Rows come back sorted by (D/h, depth, kernel).  Raises
-    ValueError for a box factor or a resolution that is not positive and
-    finite or a voxel size D/(D/h) outside ``SPACING_RANGE_UM``, and
+    ValueError for a box factor, an aspect or a resolution that is not positive
+    and finite or a voxel size D/(D/h) outside ``SPACING_RANGE_UM``, and
     DegenerateImageError when a sweep point voxelizes to an image without
     interfaces.
     """
@@ -63,6 +63,8 @@ def run_convergence(
         raise ValueError(f"shape must be 'ball' or 'cylinder', got {shape!r}")
     if not 0 < box_factor < np.inf:
         raise ValueError(f"box factor must be positive and finite, got {box_factor}")
+    if not 0 < aspect < np.inf:  # for a ball too, which does not use it
+        raise ValueError(f"aspect (L/D) must be positive and finite, got {aspect}")
     disp = np.asarray(displacement, dtype=float).tolist()  # floats: inf - inf is NaN, unwarned
     lo, hi = SPACING_RANGE_UM
     if shape == "ball":

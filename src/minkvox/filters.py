@@ -32,6 +32,7 @@ __all__ = [
     "GaussianKernel",
     "BallKernel",
     "Kernel",
+    "equal_weight_points",
     "kernel_transfer",
     "field_buffer",
     "apply_transfer",
@@ -114,6 +115,16 @@ def _box_samples(kernel: Kernel, dims, spacing: float):
     if total <= 0:
         raise NumericalError("sampled kernel has no mass")
     return vals / total, [off % n for n in dims]
+
+
+def equal_weight_points(kernel: Kernel, dims, spacing: float) -> int | None:
+    """The point count of the sampled support, 1 for no kernel, where every point
+    carries the same weight; None where the weights differ."""
+    if kernel is None:
+        return 1
+    box = _box_samples(kernel, dims, spacing)[0]
+    weights = box[box != 0]
+    return len(weights) if (weights == weights[0]).all() else None
 
 
 def kernel_transfer(kernel: Kernel, dims, spacing: float):

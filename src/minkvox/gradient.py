@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["SCHEMES", "SLAB", "stencil", "wrap_pieces"]
+__all__ = ["SCHEMES", "SLAB", "stencil", "differences", "wrap_pieces"]
 
 SLAB = 4  # x-layers per stencil call in minkowski and fiberorient; bounds temporaries
 # per scheme: f(x + up) - f(x + down) over div * h, offsets in voxels along the axis
@@ -24,17 +24,24 @@ def stencil(f: np.ndarray, x0: int, x1: int, h: float, scheme: str) -> np.ndarra
     the boundary are read by slicing f in place, bitwise as the difference of
     np.roll copies.
     """
+    out, div = differences(f, x0, x1, scheme)
+    out /= div * h
+    return out
+
+
+def differences(f: np.ndarray, x0: int, x1: int, scheme: str) -> tuple[np.ndarray, int]:
+    """The stencil's undivided differences, in f's dtype, and its divisor in voxels
+    (2 for ``central``, 1 one-sided): ``stencil`` is ``out / (div * h)``."""
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}, expected one of {SCHEMES}")
     up, down, div = _STENCILS[scheme]
     slab = f[x0:x1]
-    out = np.empty((3,) + slab.shape)
+    out = np.empty((3,) + slab.shape, f.dtype)
     for axis, (src, lo) in enumerate(((f, x0), (slab, 0), (slab, 0))):
         src, dst = np.moveaxis(src, axis, 0), np.moveaxis(out[axis], axis, 0)  # axis first
         for piece, (i, j) in wrap_pieces(len(src), lo, lo + len(dst), up, down):
             np.subtract(src[i], src[j], out=dst[piece])
-        out[axis] /= div * h
-    return out
+    return out, div
 
 
 def wrap_pieces(n: int, lo: int, hi: int, *shifts: int):

@@ -5,6 +5,7 @@ console script is the same function behind a sys.exit wrapper.
 """
 
 import dataclasses
+import itertools
 import json
 import os
 import subprocess
@@ -17,7 +18,8 @@ import pytest
 
 import minkvox
 from minkvox import ConvergenceRow, VoxelGrid, analyze, load_volume, store_volume
-from minkvox.cli import main
+from minkvox import convergence
+from minkvox.cli import main, make_kernel
 from minkvox.filters import BallKernel
 
 
@@ -249,22 +251,66 @@ def test_analyze_output_is_deterministic(capsys, tmp_path):
 
 
 def test_analyze_of_shifted_volume_is_identical(capsys, tmp_path):
+    # the integer route sums a class histogram, which no periodic shift changes:
+    # S, W and the QNT are bitwise those of the unshifted volume, by construction
     path = _gen_ball(capsys, tmp_path)
     grid = load_volume(str(path))
-    rolled = VoxelGrid(np.roll(grid.values, (5, 2, 7), axis=(0, 1, 2)),
-                       spacing=grid.spacing, depth=grid.depth)
-    shifted = tmp_path / "shifted.raw"
-    store_volume(rolled, str(shifted))
+    shifts = [s for s in itertools.product((-1, 0, 1), repeat=3) if any(s)] + [(5, 2, 7)]
+    assert len(shifts) == 27
+    kernels = ((), ("--kernel", "none"))  # the default, ball 1.2, and none
 
-    outs = []
-    for p in (path, shifted):
-        rc, out, _ = _run(capsys, "analyze", "--in", p)
+    def reports(p):
+        outs = []
+        for kernel in kernels:
+            rc, out, _ = _run(capsys, "analyze", "--in", p, *kernel)
+            assert rc == 0
+            outs.append(json.loads(out))
+        return outs
+
+    base = reports(path)
+    shifted = tmp_path / "shifted.raw"
+    for offset in shifts:
+        rolled = VoxelGrid(np.roll(grid.values, offset, axis=(0, 1, 2)),
+                           spacing=grid.spacing, depth=grid.depth)
+        store_volume(rolled, str(shifted))
+        for kernel, ref, out in zip(kernels, base, reports(shifted)):
+            case = (offset, kernel)
+            # V, the float sum of the values, is not shift-invariant by construction
+            # (its rounding follows their order), but it is for this volume
+            assert out["volume"] == ref["volume"], case
+            assert out["surface_area"] == ref["surface_area"], case
+            assert out["normal_tensor"] == ref["normal_tensor"], case
+            assert out["qnt"] == ref["qnt"], case
+            assert (out["interface_voxels"], out["gmax"]) == (ref["interface_voxels"],
+                                                              ref["gmax"]), case
+
+
+def test_analyze_json_reports_interface_voxels_and_gmax(capsys, tmp_path):
+    # both routes fill the two keys; config and the CSV columns do not change
+    one = tmp_path / "one.raw"
+    vals = np.zeros((8, 8, 8))
+    vals[3, 4, 2] = 1.0
+    for depth in (1, None):  # the integer route, then the float route
+        store_volume(VoxelGrid(vals, spacing=0.5, depth=depth), str(one))
+        rc, out, _ = _run(capsys, "analyze", "--in", one, "--kernel", "none")
         assert rc == 0
-        outs.append(json.loads(out))
-    assert outs[0]["volume"] == outs[1]["volume"]
-    assert outs[0]["surface_area"] == outs[1]["surface_area"]
-    q0, q1 = np.array(outs[0]["qnt"]), np.array(outs[1]["qnt"])
-    assert np.abs(q0 - q1).max() <= 1e-10
+        report = json.loads(out)
+        # only the six face neighbors see the voxel, each with |g| = 1 / (2 h)
+        assert report["interface_voxels"] == 6, depth
+        assert report["gmax"] == 1.0, depth
+        assert set(report["config"]) == {"scheme", "kernel", "sigma", "eps_rel", "depth",
+                                         "spacing_um", "dims"}
+    path = _gen_ball(capsys, tmp_path)
+    for kernel in ("none", "ball", "gaussian"):
+        rc, out, _ = _run(capsys, "analyze", "--in", path, "--kernel", kernel)
+        assert rc == 0
+        report = json.loads(out)
+        summary = analyze(load_volume(str(path)), make_kernel(kernel, 1.2))
+        assert report["interface_voxels"] == summary.interface_voxels > 0, kernel
+        assert report["gmax"] == summary.gmax > 0, kernel
+        rc, out, _ = _run(capsys, "analyze", "--in", path, "--kernel", kernel, "--format", "csv")
+        header = out.splitlines()[0]
+        assert "interface_voxels" not in header and "gmax" not in header
 
 
 # ---------------------------------------------------------------------------
@@ -335,6 +381,21 @@ def test_convergence_non_positive_resolution_exits_1(capsys):
         assert rc == 1 and out == "", res
         assert err.startswith("minkvox: error:") and err.count("\n") == 1
         assert "resolutions" in err
+
+
+@pytest.mark.parametrize("shape, aspect", [("ball", "-1"), ("cylinder", "nan"),
+                                           ("ball", "inf"), ("cylinder", "0")])
+def test_convergence_bad_aspect_exits_1(capsys, monkeypatch, shape, aspect):
+    # refused for either shape before anything is voxelized, naming the flag's value
+    def no_voxelize(*args, **kwargs):
+        raise AssertionError("the aspect is checked before anything is voxelized")
+
+    monkeypatch.setattr(convergence, "voxelize", no_voxelize)
+    rc, out, err = _run(capsys, "convergence", "--shape", shape, "--diameter", 8,
+                        "--resolutions", 4, "--aspect", aspect)
+    assert rc == 1 and out == "", err
+    assert err.startswith("minkvox: error:") and err.count("\n") == 1
+    assert "aspect" in err and err.rstrip().endswith(f"got {float(aspect)}"), err
 
 
 @pytest.mark.parametrize("argv", [

@@ -19,6 +19,7 @@ from minkvox import (
     VoxelGrid,
     analyze,
     ball_quantities,
+    color_steps,
     eigenvalue_ratio,
     relative_tensor_error,
     unit_trace,
@@ -452,3 +453,161 @@ def test_power_of_two_spacing_keeps_w_entries_just_above_the_normal_floor():
     assert low.any()
     assert np.array_equal(scaled.normal_tensor.mat, np.ldexp(w, 2))
     assert np.array_equal(scaled.qnt.mat, base.qnt.mat) and scaled.beta == base.beta
+
+
+# ---------------------------------------------------------------------------
+# the integer route: depth-p images with no kernel or 1 or 7 equal-weight points
+
+def _float_route(g: VoxelGrid, *args):
+    """analyze of the same values as a continuous grid, which takes the float route."""
+    return analyze(VoxelGrid(g.values, g.spacing, None), *args)
+
+
+def _assert_routes_agree(a, b, case, tol=1e-14):
+    assert a.volume == b.volume, case
+    assert abs(a.surface_area - b.surface_area) <= tol * b.surface_area, case
+    scale = np.abs(b.normal_tensor.mat).max()
+    assert np.abs(a.normal_tensor.mat - b.normal_tensor.mat).max() <= tol * scale, case
+    assert np.abs(a.qnt.mat - b.qnt.mat).max() <= tol, case
+    assert abs(a.gmax - b.gmax) <= tol * b.gmax, case
+
+
+def _counting_filter(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fft_convolve(*args, **kwargs)
+
+    monkeypatch.setattr(minkowski, "fft_convolve", counted)
+    return calls
+
+
+def test_integer_route_edges_agree_with_the_float_route(monkeypatch):
+    calls = _counting_filter(monkeypatch)
+    rng = np.random.default_rng(80)
+    ball = displaced_ball(8, 2)
+    noise = random_grid(rng, (9, 7, 8), h=0.7, depth=3)
+    binary = random_grid(rng, (7, 9, 6), h=1.3, depth=1)  # m = 1
+    cases = [(g, kernel, scheme, eps_rel)
+             for g in (ball, noise, binary)
+             for kernel in (None, BallKernel(1.2))
+             for scheme in ("central", "forward", "backward")
+             for eps_rel in (1e-12, 0.5)]
+    # one-point supports: a ball below sigma 1 and a Gaussian of 3 sigma below 1
+    cases += [(g, kernel, "central", 1e-12) for g in (ball, noise)
+              for kernel in (BallKernel(0.9), GaussianKernel(0.33))]
+    for g, kernel, scheme, eps_rel in cases:
+        case = (g.dims, g.depth, kernel, scheme, eps_rel)
+        calls.clear()
+        r = analyze(g, kernel, scheme, eps_rel)
+        assert not calls, case  # no filter ran
+        _assert_routes_agree(r, _float_route(g, kernel, scheme, eps_rel), case)
+        if kernel is None or kernel.sigma < 1:  # N = k: one support point is no kernel
+            none = analyze(g, None, scheme, eps_rel)
+            assert (r.surface_area, r.gmax) == (none.surface_area, none.gmax), case
+            assert np.array_equal(r.normal_tensor.mat, none.normal_tensor.mat), case
+        if kernel is None:
+            assert r.interface_voxels == _float_route(g, kernel, scheme).interface_voxels
+
+
+def test_inputs_above_the_class_bound_take_the_float_route(monkeypatch):
+    # no kernel: 3 m^2 + 1 classes are 46,129 at depth 5 and 138,676 at depth 6;
+    # ball 1.2: 99,373 at depth 3 and 583,444 at depth 4; the bound is 2^17
+    calls = _counting_filter(monkeypatch)
+    rng = np.random.default_rng(81)
+    for depth, kernel, integer in ((5, None, True), (6, None, False),
+                                   (3, BallKernel(1.2), True), (4, BallKernel(1.2), False),
+                                   (2, GaussianKernel(1.2), False)):
+        g = random_grid(rng, (8, 9, 10), depth=depth)
+        calls.clear()
+        r = analyze(g, kernel)
+        assert (not calls) == integer, (depth, kernel)
+        f = _float_route(g, kernel)
+        if integer:
+            _assert_routes_agree(r, f, (depth, kernel))
+        else:  # the same float code on the same values
+            assert (r.surface_area, r.gmax, r.interface_voxels) == \
+                (f.surface_area, f.gmax, f.interface_voxels)
+            assert np.array_equal(r.normal_tensor.mat, f.normal_tensor.mat)
+            assert np.array_equal(r.qnt.mat, f.qnt.mat)
+
+
+def test_huge_eps_errors_agree_between_routes():
+    # the cases of test_huge_eps_fails_loudly_rather_than_reporting_no_interfaces,
+    # whose binary single voxel takes the integer route, raise alike on the float route
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for h, eps_rel, error, match in ((0.1, 1e308, ValueError, "overflows"),
+                                         (1e-20, 1e300, ValueError, "overflows"),
+                                         (1e-8, 1e300, NumericalError, "underflowed")):
+            g = single_voxel(h=h)
+            messages = []
+            for run in (analyze, _float_route):
+                with pytest.raises(error, match=match) as info:
+                    run(g, None, "central", eps_rel)
+                messages.append(str(info.value))
+            assert messages[0] == messages[1]
+
+
+@st.composite
+def _depth_cubes(draw):
+    """Noise or smoothed-noise blobs on an n^3 cube, n in 5-9, snapped to depth 1-3."""
+    n = draw(st.integers(5, 9))
+    depth = draw(st.integers(1, 3))
+    vals = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).random((n, n, n))
+    if draw(st.booleans()):
+        for axis in range(3):
+            vals = vals + np.roll(vals, 1, axis) + np.roll(vals, -1, axis)
+        vals = (vals - vals.min()) / (vals.max() - vals.min())
+    return quantize(VoxelGrid(vals, 1.0, None), depth)
+
+
+_KERNELS = st.sampled_from([None, BallKernel(1.2)])
+
+
+def _same_s_and_w(a, b, mat=np.eye(3)):
+    return a.surface_area == b.surface_area and \
+        np.array_equal(a.normal_tensor.mat, mat @ b.normal_tensor.mat @ mat.T)
+
+
+@settings(max_examples=60, database=None, deadline=None)
+@given(g=_depth_cubes(), kernel=_KERNELS, data=st.data())
+def test_integer_route_is_exactly_shift_invariant(g, kernel, data):
+    n = g.dims[0]
+    offset = data.draw(st.tuples(*[st.integers(-n, n)] * 3))
+    base, moved = analyze(g, kernel), analyze(shift(g, offset), kernel)
+    assert _same_s_and_w(moved, base)
+    assert base.volume == g.values.sum() * g.spacing**3  # the float sum, as before
+    assert abs(moved.volume - base.volume) <= 1e-15 * base.volume  # its order moves a bit
+    assert (moved.qnt is None) == (base.qnt is None)
+    if base.qnt is not None:
+        assert np.array_equal(moved.qnt.mat, base.qnt.mat)
+
+
+@settings(max_examples=15, database=None, deadline=None)
+@given(g=_depth_cubes(), kernel=_KERNELS)
+def test_integer_route_is_exactly_cube_equivariant(g, kernel):
+    base = analyze(g, kernel)
+    for mat, apply in cube_symmetries():
+        moved = analyze(VoxelGrid(apply(g.values), g.spacing, g.depth), kernel)
+        assert _same_s_and_w(moved, base, mat)  # W permuted and sign-flipped exactly
+
+
+@settings(max_examples=60, database=None, deadline=None)
+@given(g=_depth_cubes(), kernel=_KERNELS)
+def test_integer_route_is_exactly_complement_invariant(g, kernel):
+    m = color_steps(g.depth)
+    k = np.rint(g.values * m)
+    complement = VoxelGrid((m - k) / m, g.spacing, g.depth)
+    assert _same_s_and_w(analyze(complement, kernel), analyze(g, kernel))
+
+
+@settings(max_examples=100, database=None, deadline=None)
+@given(g=_depth_cubes(), kernel=_KERNELS, eps_rel=st.sampled_from([1e-12, 0.0, 0.5, 1e3]))
+def test_integer_and_float_routes_agree(g, kernel, eps_rel):
+    r, f = analyze(g, kernel, "central", eps_rel), _float_route(g, kernel, "central", eps_rel)
+    if f.qnt is None:
+        assert r.qnt is None and r.surface_area == f.surface_area == 0.0
+    else:
+        _assert_routes_agree(r, f, (g.dims, g.depth, kernel, eps_rel))
