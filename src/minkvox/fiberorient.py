@@ -9,8 +9,10 @@ sufficiently structured voxels and normalizing by the trace yields an
 estimate of the second-order orientation tensor A = <p p^T>.  Beyond six
 padded field buffers, in which one call blurs all six components, only slab
 and chunk scratch is held: the first filter writes into the yz buffer, each
-x-slab's products g_i g_j go straight into the buffers, and the mask is
-applied chunk by chunk.
+x-slab's products d_i d_j of its undivided differences go straight into the
+buffers, and the mask is applied chunk by chunk.  The gradient's tensor is
+(div h)^-2 times theirs, a scale that neither the relative mask nor the
+projectors see, so no spacing enters the result.
 
 The eigen stage runs in closed form on the six tensor components, chunk by
 chunk (Kopp, "Efficient numerical diagonalization of hermitian 3x3
@@ -33,7 +35,7 @@ import numpy as np
 
 from .errors import DegenerateImageError
 from .filters import Kernel, apply_transfer, fft_convolve, field_buffer, kernel_transfer
-from .gradient import SLAB, stencil
+from .gradient import SLAB, differences
 from .minkowski import COMPONENTS, FULL, SymTensor3, unit_trace
 from .voxelgrid import VoxelGrid
 
@@ -100,25 +102,25 @@ def structure_tensor_orientation(
     if not math.isfinite(mask_threshold_rel):
         raise ValueError(f"mask threshold must be finite, got {mask_threshold_rel}")
 
-    # values in [0, 1] and h >= 1e-20 give |g| <= 1e20: every product is finite
+    # values in [0, 1] give |d_i| <= 1: every product is finite
     dims, spacing = image.dims, image.spacing
     buf = field_buffer(dims, (6,))
     f = fft_convolve(image, first_kernel, buf[5])
     del image  # a caller that handed its grid over frees it here
     blurred = buf[:, :f.size].reshape((6,) + dims)  # the six fields, spectra behind
     # f is the yz field: a slab's yz product overwrites its f layers once the next
-    # slab's stencil has run, and slab 0's at the end, as the last slab reads layer 0
+    # slab's differences are taken, and slab 0's at the end, as the last slab reads layer 0
     held = []
     for x0 in range(0, len(f), SLAB):
-        g = stencil(f, x0, x0 + SLAB, spacing, scheme)
+        d = differences(f, x0, x0 + SLAB, scheme)[0]
         for slot, (i, j) in enumerate(COMPONENTS[:5]):
-            np.multiply(g[i], g[j], out=blurred[slot, x0:x0 + SLAB])
-        held.append((x0, g))
+            np.multiply(d[i], d[j], out=blurred[slot, x0:x0 + SLAB])
+        held.append((x0, d))
         if len(held) == 3:
-            x, g = held.pop(1)
-            np.multiply(g[1], g[2], out=blurred[5, x:x + SLAB])
-    for x, g in held:
-        np.multiply(g[1], g[2], out=blurred[5, x:x + SLAB])
+            x, d = held.pop(1)
+            np.multiply(d[1], d[2], out=blurred[5, x:x + SLAB])
+    for x, d in held:
+        np.multiply(d[1], d[2], out=blurred[5, x:x + SLAB])
     apply_transfer(blurred, kernel_transfer(second_kernel, dims, spacing), buf)
 
     # two sweeps over the same chunks, so no whole-grid trace or mask is held

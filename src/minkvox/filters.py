@@ -1,11 +1,13 @@
 """Smoothing kernels and periodic convolution.
 
-Kernels are defined in physical units on the voxel lattice: a Gaussian with
-standard deviation h*sigma truncated at 3*h*sigma, and an indicator ball of
-radius h*sigma.  Both are sampled at the voxel centers in wrap-around layout
-(peak at index (0, 0, 0)) and renormalized so that the discrete sum times h^3
-is exactly one, which makes the convolution mean-preserving.  The profile is
-evaluated on the support's bounding box of offsets only.  A support of at most
+Kernels are defined in lattice units: a Gaussian with standard deviation
+sigma voxels truncated at 3 sigma, and an indicator ball of radius sigma
+voxels.  Both are sampled at the voxel centers in wrap-around layout (peak at
+index (0, 0, 0)) and renormalized so that the samples sum to one, which makes
+the convolution mean-preserving; the voxel spacing h enters only the range
+check of the physical width h*sigma, so the samples and every filtered field
+are the same at any h.  The profile is evaluated on the support's bounding box
+of offsets only.  A support of at most
 _DIRECT_POINTS lattice points (a ball of sigma below sqrt 2) is summed directly,
 point by point in one order for every voxel: flat regions stay exactly flat,
 and a shifted image gives the shifted field bitwise.  Larger supports go by
@@ -47,7 +49,7 @@ _DIRECT_POINTS = 7  # largest support summed directly; 19 points (Gaussian 0.5) 
 
 @dataclass(frozen=True)
 class _SigmaKernel:
-    """Kernel of width h * sigma; instances of different subclasses never compare equal."""
+    """Kernel of width sigma voxels; instances of different subclasses never compare equal."""
 
     sigma: float
     name: ClassVar[str]  # the label of reports, flags and sweeps
@@ -71,21 +73,20 @@ class BallKernel(_SigmaKernel):
 Kernel = GaussianKernel | BallKernel | None
 
 
-def _box_samples(kernel: Kernel, dims, spacing: float):
-    """Normalized samples on the support box and, per axis, their grid indices.
+def _box_samples(kernel: Kernel, dims, h: float):
+    """Samples on the support box, summing to one, and, per axis, their grid indices.
 
     The box offsets run 0..r, -r..-1 with r = int(reach).  A voxel center is
     in the support when its integer squared offset, in voxels, is at most
-    ``(kernel.reach * kernel.sigma)**2``, so the same points are kept at every
-    h.  Summing the integer squares before scaling keeps the samples bitwise
-    invariant under all 48 cube symmetries.  Raises ValueError if the
-    radius in voxels is not below half the shortest edge, or if (h sigma)^3
-    or its reciprocal is not a finite nonzero float.
+    ``(kernel.reach * kernel.sigma)**2``, and the profile is taken of that
+    integer too, so the samples are the same at every h and bitwise invariant
+    under all 48 cube symmetries.  Raises ValueError if the radius in voxels
+    is not below half the shortest edge, or if (h sigma)^3 or its reciprocal
+    is not a finite nonzero float; as h <= 1e20, sigma^2 is then normal.
     """
     if kernel is None:
         raise ValueError("cannot sample the identity kernel (None)")
     dims = tuple(int(n) for n in dims)
-    h = spacing
     reach = kernel.reach * kernel.sigma  # support radius in voxels
     if not reach < min(dims) / 2:
         raise ValueError(
@@ -106,15 +107,10 @@ def _box_samples(kernel: Kernel, dims, spacing: float):
     off = np.r_[0:int(reach) + 1, -int(reach):0]  # 2 r + 1 <= n on every axis
     sq = off * off
     off2 = sq[:, None, None] + sq[None, :, None] + sq[None, None, :]
-    if isinstance(kernel, GaussianKernel):
-        profile = np.exp(-(off2 * (h * h)) / (2 * hs * hs)) / (hs**3 * (2 * np.pi) ** 1.5)
-    else:
-        profile = 3.0 / (4 * np.pi * hs**3)
-    vals = np.where(off2 <= reach * reach, profile, 0.0)
-    total = vals.sum() * h**3
-    if total <= 0:
-        raise NumericalError("sampled kernel has no mass")
-    return vals / total, [off % n for n in dims]
+    s2 = kernel.sigma * kernel.sigma
+    profile = np.exp(-off2 / (2 * s2)) if isinstance(kernel, GaussianKernel) else 1.0
+    vals = np.where(off2 <= reach * reach, profile, 0.0)  # the center's 1 included
+    return vals / vals.sum(), [off % n for n in dims]
 
 
 def equal_weight_points(kernel: Kernel, dims, spacing: float) -> int | None:
@@ -128,24 +124,24 @@ def equal_weight_points(kernel: Kernel, dims, spacing: float) -> int | None:
 
 
 def kernel_transfer(kernel: Kernel, dims, spacing: float):
-    """The transfer as ``(rows, ix, h^3)``: the support box's x-rows ``ix`` after
-    the z and y passes, (bx, ny, nz // 2 + 1); ``_transfer_block`` ends the x pass."""
+    """The transfer as ``(rows, ix)``: the support box's x-rows ``ix`` after the
+    z and y passes, (bx, ny, nz // 2 + 1); ``_transfer_block`` ends the x pass."""
     box, (ix, iy, iz) = _box_samples(kernel, dims, spacing)
     ny, nz = (int(n) for n in dims[1:])
     rows = np.zeros(box.shape[:2] + (nz,))
     rows[:, :, iz] = box
     part = np.zeros((len(ix), ny, nz // 2 + 1), complex)
     part[:, iy] = np.fft.rfft(rows, axis=2)
-    return np.fft.fft(part, axis=1, out=part), ix, spacing**3
+    return np.fft.fft(part, axis=1, out=part), ix
 
 
 def _transfer_block(transfer, nx: int, ys: slice) -> np.ndarray:
     """y-rows ``ys`` of the whole-grid transfer, (nx, len(ys), nz // 2 + 1)."""
-    rows, ix, weight = transfer
+    rows, ix = transfer
     part = rows[:, ys]
     block = np.zeros((nx,) + part.shape[1:], complex)
     block[ix] = part
-    return np.multiply(np.fft.fft(block, axis=0, out=block), weight, out=block)
+    return np.fft.fft(block, axis=0, out=block)
 
 
 def field_buffer(dims, lead=()) -> np.ndarray:
@@ -185,13 +181,13 @@ def apply_transfer(values: np.ndarray, transfer, buf: np.ndarray) -> np.ndarray:
     return fields.reshape(values.shape)
 
 
-def _direct_sum(values: np.ndarray, box: np.ndarray, idx, scale: float, out) -> np.ndarray:
-    """sum_k box[k] scale values[x - k] over the support points k, an x-slab at a
-    time, into ``out`` (or a new array for None).  Points of equal weight are added
+def _direct_sum(values: np.ndarray, box: np.ndarray, idx, out) -> np.ndarray:
+    """sum_k box[k] values[x - k] over the support points k, an x-slab at a time,
+    into ``out`` (or a new array for None).  Points of equal weight are added
     first, in one order for every voxel, and scaled once, Horner-like:
     w1 S1 + w2 S2 = (S1 w1 / w2 + S2) w2."""
     weights = sorted(set(box[box != 0].tolist()))
-    factors = [a / b for a, b in zip(weights, weights[1:])] + [weights[-1] * scale]
+    factors = [a / b for a, b in zip(weights, weights[1:])] + weights[-1:]
     if out is None:
         out = np.zeros(values.shape)  # zeroed by calloc: no slower than np.empty here
     else:
@@ -227,7 +223,7 @@ def fft_convolve(image: VoxelGrid, kernel: Kernel, out: np.ndarray | None = None
         return field
     box, idx = _box_samples(kernel, image.dims, image.spacing)
     if np.count_nonzero(box) <= _DIRECT_POINTS:
-        field = _direct_sum(values, box, idx, image.spacing**3, field)
+        field = _direct_sum(values, box, idx, field)
     else:
         transfer = kernel_transfer(kernel, image.dims, image.spacing)
         field = apply_transfer(values, transfer, field_buffer(image.dims) if out is None else out)

@@ -1,13 +1,19 @@
-"""Periodic finite-difference stencil over x-slabs of a gray-value field."""
+"""Periodic finite differences over x-slabs of a gray-value field, in lattice units.
+
+``differences`` returns f(x + up e_i) - f(x + down e_i), undivided, and the
+scheme's divisor div in voxels.  The gradient at spacing h is the differences
+over div * h: ``minkowski.analyze`` applies that scale once, to its sums, and
+the fiber orientation, which no scale changes, never does.
+"""
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["SCHEMES", "SLAB", "stencil", "differences", "wrap_pieces"]
+__all__ = ["SCHEMES", "SLAB", "differences", "wrap_pieces"]
 
-SLAB = 4  # x-layers per stencil call in minkowski and fiberorient; bounds temporaries
-# per scheme: f(x + up) - f(x + down) over div * h, offsets in voxels along the axis
+SLAB = 4  # x-layers per differences call in minkowski and fiberorient; bounds temporaries
+# per scheme: f(x + up) - f(x + down) and div, offsets in voxels along the axis
 _STENCILS = {"central": (1, -1, 2), "forward": (1, 0, 1), "backward": (0, -1, 1)}
 SCHEMES = tuple(_STENCILS)
 
@@ -16,22 +22,15 @@ class VectorField:
     """A bare name: the benchmark's tracer imports it and skips its missing ``norms``."""
 
 
-def stencil(f: np.ndarray, x0: int, x1: int, h: float, scheme: str) -> np.ndarray:
-    """Gradient, shape (3, len(f[x0:x1]), ny, nz), of x-layers x0:x1 of the periodic array f.
+def differences(f: np.ndarray, x0: int, x1: int, scheme: str) -> tuple[np.ndarray, int]:
+    """Undivided differences, shape (3, len(f[x0:x1]), ny, nz) in f's dtype, of x-layers
+    x0:x1 of the periodic array f, and the scheme's divisor in voxels.
 
-    ``central`` uses (f(x + h e_i) - f(x - h e_i)) / 2h, ``forward`` and
-    ``backward`` the corresponding one-sided differences.  Neighbors across
+    ``central`` takes f(x + e_i) - f(x - e_i) with divisor 2, ``forward`` and
+    ``backward`` the one-sided differences with divisor 1.  Neighbors across
     the boundary are read by slicing f in place, bitwise as the difference of
     np.roll copies.
     """
-    out, div = differences(f, x0, x1, scheme)
-    out /= div * h
-    return out
-
-
-def differences(f: np.ndarray, x0: int, x1: int, scheme: str) -> tuple[np.ndarray, int]:
-    """The stencil's undivided differences, in f's dtype, and its divisor in voxels
-    (2 for ``central``, 1 one-sided): ``stencil`` is ``out / (div * h)``."""
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}, expected one of {SCHEMES}")
     up, down, div = _STENCILS[scheme]

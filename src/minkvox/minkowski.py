@@ -1,40 +1,40 @@
 """Minkowski functional and tensor estimators for gray-value images.
 
-The estimators follow the gradient-based discretization: the volume is the
-sum of gray values times the voxel volume, the surface area the sum of
-gradient magnitudes, and the translation-invariant interface tensor the sum
-of normalized gradient outer products,
+The estimators follow the gradient-based discretization, as sums of per-voxel
+lattice terms scaled once by the voxel spacing h (Svane, Image Anal. Stereol.
+34, 2015).  With the gradient g = d / (c h), d the differences of the filtered
+image and c = div (2 central, 1 one-sided) on the float route,
 
-    V  ~ sum_x f(x) h^3
-    S  ~ sum_x |g(x)| h^3
-    W  ~ 1/3 sum_x g(x) (x) g(x) h^3 / (|g(x)| + eps)
+    V  = h^3 sum_x f(x)                                          = sum f h^3
+    S  = h^2 / c sum_x |d(x)|                                    = sum |g| h^3
+    W  = h^2 / (3 c) sum_x d(x) (x) d(x) / (|d(x)| + eps_rel max |d|)
 
-with a relative regularization eps = eps_rel * max |g|.  Voxels with exactly
-zero gradient are skipped.  The quadratic normal tensor is W normalized to
-unit trace.  ``analyze`` computes all of them, and beta, in one call.
+which is 1/3 sum g g^T h^3 / (|g| + eps_rel max |g|).  Voxels with d = 0 are
+skipped.  The quadratic normal tensor is W normalized to unit trace.
+``analyze`` computes all of them, and beta, in one call and alone applies c
+and h: the QNT, beta and the interface voxels are the same at any spacing, and
+V, S, W (where its entries are normal) and gmax = max |d| / (c h) scale
+exactly as h^3, h h, h h and 1/h.
 
-S and W are sums of per-voxel terms (Svane, Image Anal. Stereol. 34, 2015),
-taken over x-slabs of gradient.SLAB layers; no whole-grid gradient is held.
-``analyze`` routes an image by its sampled filter support.  A depth-p image
-(m = color_steps(p)) with no kernel, a one-point support or 7 points of equal
-weight (a ball of sigma in [1, sqrt 2), ball 1.2 included) takes the integer
-route.  Its filtered values are N / (K m), with N the integer color index or
-its 7-point sum, so every gradient is d / (c h) with an integer vector d and
-c = K m div (div = 2 central, 1 one-sided).  S and W then depend on the
-image only through the voxel count and the integer sums M of d_i d_j of each
-class q = |d|^2 > 0, a histogram filled in one pass (the gray-value analogue
-of the configuration histograms of Ohser and Muecklich, 2000).  The histogram is
-exact and the same in any slab or voxel order, and the final sums over the
-classes are correctly rounded, so S and W are bitwise invariant under
-periodic shifts, the 48 cube symmetries (W permuted and sign-flipped exactly)
-and the complement k -> m - k.  V is the float sum of the raw values on both
-routes.  Inputs of _BINS or more classes (3 (K m)^2 + 1), and all others,
-take the float route: the filtered field, a first pass for max |g|^2 and a
-second for |g| and the outer products.
-On either route the W sum carries a power-of-two scale 2^k that keeps its
-weights out of the subnormal range; the QNT is normalized before that scale
-is taken back off, so it and beta are exact under a power-of-two change of
-spacing.
+The sums are taken over x-slabs of gradient.SLAB layers; no whole-grid gradient
+is held.  ``analyze`` routes an image by its sampled filter support.  A depth-p
+image (m = color_steps(p)) with no kernel, a one-point support or 7 points of
+equal weight (a ball of sigma in [1, sqrt 2), ball 1.2 included) takes the
+integer route.  Its filtered values are N / (K m), with N the integer color
+index or its 7-point sum, so d is the integer vector of N's differences and
+c = K m div.  S and W then depend on the image only through the voxel count
+and the integer sums M of d_i d_j of each class q = |d|^2 > 0, a histogram
+filled in one pass (the gray-value analogue of the configuration histograms
+of Ohser and Muecklich, 2000).  The histogram is exact and the same in any
+slab or voxel order, and the final sums over the classes are correctly
+rounded, so S and W are bitwise invariant under periodic shifts, the 48 cube
+symmetries (W permuted and sign-flipped exactly) and the complement
+k -> m - k.  V is the float sum of the raw values on both routes.  Inputs of
+_BINS or more classes (3 (K m)^2 + 1), and all others, take the float route:
+the filtered field, a first pass for max |d|^2 and a second for |d| and the
+outer products.  On either route the W sum carries a power-of-two scale 2^k,
+by one rule, that keeps its weights out of the subnormal range; the QNT is
+normalized before that scale is taken back off.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ import numpy as np
 
 from .errors import NumericalError
 from .filters import Kernel, equal_weight_points, fft_convolve
-from .gradient import SLAB, differences, stencil, wrap_pieces
+from .gradient import SLAB, differences, wrap_pieces
 from .voxelgrid import VoxelGrid, color_steps
 
 __all__ = [
@@ -164,13 +164,6 @@ class MinkowskiSummary:
     gmax: float
 
 
-def _overflow(eps_rel: float, gmax: float) -> float:
-    """eps = eps_rel * gmax, or ValueError where it is not finite."""
-    if not math.isfinite(eps := eps_rel * gmax):
-        raise ValueError(f"eps_rel * max|g| = {eps_rel} * {gmax} overflows; lower eps_rel")
-    return eps
-
-
 def _histogram(values: np.ndarray, m: int, points: int, scheme: str):
     """Per class q = |d|^2 of the integer differences d of N (the color index m f,
     or its sum over the cross of 7 points): the voxel count and the six sums of
@@ -215,60 +208,61 @@ def _histogram(values: np.ndarray, m: int, points: int, scheme: str):
     return counts, sums, div
 
 
+def _weights(norms: np.ndarray, eps_rel: float, top: float):
+    """The weights 2^k / (|d| + eps_rel max|d|) of W's sum, for ``norms`` |d| > 0 and
+    ``top`` = max|d|, and k.  With 2^-k eps_rel top in [1/4, 1) where that is at least
+    1, they stay normal for any eps_rel; eps_rel top itself may exceed the float range."""
+    k = max(0, math.frexp(eps_rel)[1] + math.frexp(top)[1])
+    return 1.0 / (np.ldexp(norms, -k) + math.ldexp(eps_rel, -k) * top), k
+
+
 def _float_sums(image: VoxelGrid, kernel: Kernel, scheme: str, eps_rel: float):
-    """(S, 2^k 3W, k, interface voxels, gmax) from the float gradient of the filtered
-    image, over x-slabs in two passes: max |g|^2, then |g| and the outer products."""
-    f, h = fft_convolve(image, kernel), image.spacing
+    """The lattice sums of ``_integer_sums`` from the differences d of the filtered
+    image, with c = div, over x-slabs in two passes: max |d|^2, then |d| and the
+    weighted outer products."""
+    f = fft_convolve(image, kernel)
     starts = range(0, f.shape[0], SLAB)
 
     def slab(x0):
-        g = stencil(f, x0, x0 + SLAB, h, scheme).reshape(3, -1)
-        return g, np.einsum("ij,ij->j", g, g)
+        d, div = differences(f, x0, x0 + SLAB, scheme)
+        d = d.reshape(3, -1)
+        return d, np.einsum("ij,ij->j", d, d), div
 
-    gmax = math.sqrt(max(float(sq.max()) for _, sq in map(slab, starts)))  # bitwise max |g|
-    eps = _overflow(eps_rel, gmax)
-    # the weights h^3 / (|g| + eps) go subnormal when eps dwarfs h^3, so they are
-    # summed times 2^k, k even (so exact under the square root), and scaled back
-    k = 2 * max(0, (math.frexp(eps)[1] - math.frexp(h**3)[1]) // 2) if eps > 0 else 0
+    top = math.sqrt(max(float(sq.max()) for _, sq, _ in map(slab, starts)))  # bitwise max |d|
     total, count, w = 0.0, 0, np.zeros(6)
     for x0 in starts:
-        g, norms = slab(x0)
+        d, norms, div = slab(x0)
         total += float(np.sqrt(norms, out=norms).sum())
         keep = norms > 0.0
         count += int(np.count_nonzero(keep))
-        # the weighted sum is g sqrt(w) times its transpose, by six dot products
-        # (BLAS ddot), about 6x faster than g @ g.T on a slab of 4 x 192^2 voxels
-        g = np.compress(keep, g, axis=1)
-        g *= np.sqrt(math.ldexp(h**3, k) / (np.compress(keep, norms) + eps))
+        # the weighted sum is d sqrt(w) times its transpose, by six dot products
+        # (BLAS ddot), about 6x faster than d @ d.T on a slab of 4 x 192^2 voxels
+        d = np.compress(keep, d, axis=1)
+        # rebound to norms: weights held beside them into the next slab's differences
+        # raised the peak of a Gaussian analyze at 192^3 by 1.2 MB
+        norms, k = _weights(np.compress(keep, norms), eps_rel, top)
+        d *= np.sqrt(norms, out=norms)
         for slot, (i, j) in enumerate(COMPONENTS):
-            w[slot] += g[i] @ g[j]
-    return total * h**3, w[FULL].reshape(3, 3), k, count, gmax
+            w[slot] += d[i] @ d[j]
+    return total, w, k, count, top, div
 
 
 def _integer_sums(image: VoxelGrid, points: int, scheme: str, eps_rel: float):
-    """(S, 2^k 3W, k, interface voxels, gmax) from the class histogram of a depth-p
-    image: g = d / (c h) with c = K m div, so with eps' = eps c h = eps_rel sqrt(max q)
+    """(sum |d|, 2^k sum d d^T / (|d| + eps_rel max|d|) in COMPONENTS order, k,
+    interface voxels, max|d|, c) in lattice units, the gradient being d / (c h), from
+    the class histogram of a depth-p image: d is an integer vector, c = K m div, and
 
-        S = h^2 / c sum_q count[q] sqrt q,   3W = h^2 / c sum_q M[q] / (sqrt q + eps'),
+        sum |d| = sum_q count[q] sqrt q,   sum_q M[q] 2^k / (sqrt q + eps_rel sqrt(max q)),
 
-    each a correctly rounded sum (math.fsum) over the classes, and h applied last."""
-    m, h = color_steps(image.depth), image.spacing
+    each a correctly rounded sum (math.fsum) over the classes."""
+    m = color_steps(image.depth)
     counts, sums, div = _histogram(image.values, m, points, scheme)
-    c = points * m * div
     q = np.flatnonzero(counts)  # the classes present, ascending
-    if not q.size:
-        return 0.0, np.zeros((3, 3)), 0, 0, 0.0
     root = np.sqrt(q)
-    top = float(root[-1])
-    gmax = top / (c * h)
-    _overflow(eps_rel, gmax)
-    # the weights 2^k / (sqrt q + eps'), with 2^-k eps' in [1/4, 1) where eps' >= 1,
-    # stay normal for any eps_rel; eps' itself may exceed the float range
-    k = max(0, math.frexp(eps_rel)[1] + math.frexp(top)[1])
-    weights = 1.0 / (np.ldexp(root, -k) + math.ldexp(eps_rel, -k) * top)
+    top = math.sqrt(q[-1]) if q.size else 0.0
+    weights, k = _weights(root, eps_rel, top)
     w = np.array([math.fsum(sums[slot, q] * weights) for slot in range(6)])
-    surface = math.fsum(counts[q] * root) / c * (h * h)
-    return surface, w[FULL].reshape(3, 3) / c * (h * h), k, int(counts.sum()), gmax
+    return math.fsum(counts[q] * root), w, k, int(counts.sum()), top, points * m * div
 
 
 def analyze(
@@ -281,7 +275,7 @@ def analyze(
 
     The volume is taken from the unfiltered image.  S and W come from the
     gradient g of ``image`` filtered by ``kernel``, with eps = ``eps_rel``
-    (checked before the filter runs) times max |g|; voxels with zero gradient
+    (its range checked before the filter runs) times max |g|; voxels with zero gradient
     are skipped, so an image without interfaces yields S = 0, W = 0 and is
     degenerate.  A router: a depth-p image with no kernel or a support of 1 or
     7 equal-weight points takes the integer route (below _BINS classes), any
@@ -292,18 +286,23 @@ def analyze(
     # the support decides, as in fft_convolve: N / (K m) for K = 1 or 7 points
     points = image.depth and equal_weight_points(kernel, image.dims, image.spacing)
     if points in (1, 7) and 3 * (points * color_steps(image.depth)) ** 2 < _BINS:
-        surface, mat, k, count, gmax = _integer_sums(image, points, scheme, eps_rel)
+        total, sums, k, count, top, c = _integer_sums(image, points, scheme, eps_rel)
     else:
-        surface, mat, k, count, gmax = _float_sums(image, kernel, scheme, eps_rel)
+        total, sums, k, count, top, c = _float_sums(image, kernel, scheme, eps_rel)
+    h = image.spacing
+    gmax = top / c / h
+    if not math.isfinite(eps_rel * gmax):
+        raise ValueError(f"eps_rel * max|g| = {eps_rel} * {gmax} overflows; lower eps_rel")
+    mat = sums[FULL].reshape(3, 3)
+    w = np.ldexp(mat / (3 * c) * (h * h), -k)
     # an interface voxel implies tr W > 0 in exact arithmetic; a subnormal tr W of fewer
     # than 2^40 steps of 2^-1074 has lost the 1e-12 precision of the exact identities
-    if count > 0 and not np.trace(np.ldexp(mat, -k)) >= 2.0**-1034:
+    if count > 0 and not np.trace(w) >= 2.0**-1034:
         raise NumericalError("the interface tensor underflowed; lower eps_rel")
-    mat /= 3.0
     q = beta = None
-    if count > 0:  # normalized before the scale-back, so a subnormal W costs it no bits
+    if count > 0:  # from the lattice sums: the same at any h, and unrounded by a subnormal W
         q = SymTensor3(unit_trace(mat))
         beta = eigenvalue_ratio(q)
-    return MinkowskiSummary(volume=float(image.values.sum()) * image.spacing**3,
-                            surface_area=surface, normal_tensor=SymTensor3(np.ldexp(mat, -k)),
+    return MinkowskiSummary(volume=float(image.values.sum()) * h**3,
+                            surface_area=total / c * (h * h), normal_tensor=SymTensor3(w),
                             qnt=q, beta=beta, interface_voxels=count, gmax=gmax)

@@ -35,9 +35,10 @@ def check_spacing(spacing: float) -> None:
 
 
 def color_steps(depth: int) -> int:
-    """Number of gray-value steps of a depth-p image: 1 for binary, p^3 - 1 otherwise."""
-    if depth < 1:
-        raise ValueError(f"depth must be >= 1, got {depth}")
+    """Number of gray-value steps of a depth-p image: 1 for binary, p^3 - 1 otherwise.
+    From 2^53 steps on, the colors k / m are no longer distinct doubles."""
+    if depth < 1 or depth**3 > 2**53:
+        raise ValueError(f"depth must lie in [1, 208063] (p^3 - 1 < 2^53), got {depth}")
     return 1 if depth == 1 else depth**3 - 1
 
 

@@ -175,6 +175,10 @@ SIDECAR_KEYS = ("dims", "spacing_um", "depth", "dtype", "order", "extra")
        grow=st.binary(max_size=16),
        garble=st.one_of(st.none(), st.integers(0, 80)),
        command=st.sampled_from(("analyze", "fiber-orient")))
+@example(edits={"depth": 10**400}, drop=set(), cut=None, grow=b"", garble=None,
+         command="analyze")
+@example(edits={"depth": 10**400}, drop=set(), cut=None, grow=b"", garble=None,
+         command="fiber-orient")
 def test_malformed_volume_files(volume, tmp_path_factory, edits, drop, cut, grow, garble,
                                 command):
     path = tmp_path_factory.getbasetemp() / "fuzz-volume.raw"

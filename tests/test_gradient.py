@@ -2,14 +2,15 @@ import numpy as np
 import pytest
 
 from minkvox import BallKernel, SCHEMES, VoxelGrid, fft_convolve
-from minkvox.gradient import stencil
+from minkvox.gradient import differences
 
 from gridmakers import BALL_SHIFT_UM, displaced_ball, roll_gradient, single_voxel
 
 
 def gradient(v: np.ndarray, h: float, scheme: str) -> np.ndarray:
-    """The slab stencil over the whole grid, shape v.shape + (3,)."""
-    return np.moveaxis(stencil(v, 0, len(v), h, scheme), 0, -1)
+    """The differences over the whole grid over div * h, shape v.shape + (3,)."""
+    d, div = differences(v, 0, len(v), scheme)
+    return np.moveaxis(d / (div * h), 0, -1)
 
 
 def sin_grid(n: int, h: float = 1.0) -> VoxelGrid:

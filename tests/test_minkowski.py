@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from minkvox import minkowski
 from minkvox.filters import fft_convolve
-from minkvox.gradient import SLAB, stencil
+from minkvox.gradient import SLAB, differences
 from minkvox import (
     Ball,
     BallKernel,
@@ -229,7 +229,8 @@ def test_filtered_sums_with_large_eps_match_whole_grid_stencil():
              (random_grid(rng, (2 * SLAB + 3, 6, 5), h=0.7), GaussianKernel(0.8)))
     for g, kernel in cases:
         f, h = fft_convolve(g, kernel), g.spacing
-        grad = stencil(f, 0, f.shape[0], h, "central").reshape(3, -1)
+        d, div = differences(f, 0, f.shape[0], "central")
+        grad = (d / (div * h)).reshape(3, -1)
         norms = np.sqrt(np.einsum("ij,ij->j", grad, grad))
         keep = grad[:, norms > 0]
         weights = h**3 / (norms[norms > 0] + 0.5 * norms.max())
@@ -453,6 +454,45 @@ def test_power_of_two_spacing_keeps_w_entries_just_above_the_normal_floor():
     assert low.any()
     assert np.array_equal(scaled.normal_tensor.mat, np.ldexp(w, 2))
     assert np.array_equal(scaled.qnt.mat, base.qnt.mat) and scaled.beta == base.beta
+
+
+@settings(max_examples=300, database=None, deadline=None)
+@given(volume=_small_volumes(),
+       kernel=st.one_of(st.none(), st.builds(BallKernel, st.floats(0.5, 1.4)),
+                        st.builds(GaussianKernel, st.floats(0.3, 0.9))),
+       scheme=st.sampled_from(("central", "forward", "backward")),
+       eps_rel=st.sampled_from([0.0, 1e-12, 0.5, 1e100, 1e300]),
+       continuous=st.booleans())
+def test_any_spacing_scales_the_estimates_exactly(volume, kernel, scheme, eps_rel, continuous):
+    # the sums are taken in lattice units and h is applied once, so at spacings that
+    # are no power of two V, S, W and gmax scale as h^3, h h, h h and 1/h bitwise, and
+    # the QNT, beta and the interface voxels do not move; a continuous grid takes the
+    # float route, a depth-p one the integer route where its support allows
+    vals, depth = volume
+
+    def run(h):
+        try:
+            return analyze(VoxelGrid(vals, h, None if continuous else depth),
+                           kernel, scheme, eps_rel)
+        except (ValueError, NumericalError) as exc:
+            assert "overflows" in str(exc) or "underflowed" in str(exc)
+            return None
+
+    base = run(1.0)
+    for h in (0.7, 3.1, 1e-5, 123.4):
+        scaled = run(h)
+        if base is None or scaled is None:
+            continue
+        assert scaled.volume == base.volume * h**3, h
+        assert scaled.surface_area == base.surface_area * (h * h), h
+        assert scaled.gmax == base.gmax / h, h
+        if _normal_entries(base.normal_tensor) and _normal_entries(scaled.normal_tensor):
+            assert np.array_equal(scaled.normal_tensor.mat, base.normal_tensor.mat * (h * h)), h
+        assert scaled.interface_voxels == base.interface_voxels, h
+        assert (scaled.qnt is None) == (base.qnt is None), h
+        if base.qnt is not None:
+            assert np.array_equal(scaled.qnt.mat, base.qnt.mat), h
+            assert scaled.beta == base.beta, h
 
 
 # ---------------------------------------------------------------------------

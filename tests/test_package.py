@@ -60,6 +60,23 @@ def test_every_imported_name_is_used():
         assert imported <= used, (path.name, sorted(imported - used))
 
 
+def test_no_function_leaves_a_parameter_unused():
+    # a parameter that a refactor leaves behind, such as a spacing no longer read,
+    # still takes every call; a nested function's read of it counts, and a method's
+    # self, which an override such as argparse's error() takes unread, is exempt
+    unused = []
+    for path in sorted(Path(minkvox.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                args = node.args
+                params = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs
+                          + [a for a in (args.vararg, args.kwarg) if a]}
+                body = node.body if isinstance(node.body, list) else [node.body]
+                read = {n.id for part in body for n in ast.walk(part) if isinstance(n, ast.Name)}
+                unused += [(path.name, node.lineno, p) for p in sorted(params - read - {"self"})]
+    assert not unused
+
+
 def test_python_dash_m_runs_the_cli():
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     run = subprocess.run([sys.executable, "-m", "minkvox", "--help"], env=env,

@@ -200,6 +200,22 @@ def test_short_payload_reports_lengths(tmp_path):
         load_volume(f)
 
 
+def test_depth_beyond_distinct_colors_is_a_format_error(tmp_path):
+    # from p = 208064 on, m = p^3 - 1 >= 2^53 and the colors k / m are no longer distinct
+    # doubles; p = 10**110 and 10**400 give an m that overflows a float conversion
+    f = tmp_path / "d.raw"
+    store_volume(VoxelGrid(np.zeros((2, 2, 2)), spacing=1.0, depth=2), f)
+    meta = json.loads((tmp_path / "d.raw.json").read_text())
+    for depth in (208064, 10**110, 10**400):
+        (tmp_path / "d.raw.json").write_text(json.dumps(dict(meta, depth=depth)))
+        with pytest.raises(VolumeFormatError, match="depth must lie in"):
+            load_volume(f)
+        with pytest.raises(ValueError, match="depth must lie in"):
+            VoxelGrid(np.zeros((2, 2, 2)), spacing=1.0, depth=depth)
+        assert main(["analyze", "--in", str(f)]) == 2
+    assert color_steps(208063) == 208063**3 - 1 < 2**53
+
+
 def test_malformed_sidecar_reports_position(tmp_path):
     f = tmp_path / "m.raw"
     f.write_bytes(bytes(8))
