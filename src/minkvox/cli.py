@@ -153,7 +153,7 @@ def _cmd_generate(args) -> int:
             f"x[0, {box[2]}] um; shapes are not wrapped periodically"
         )
     grid = voxelize(shape, tuple(args.dims), args.spacing, depth=args.depth)
-    if not grid.values.any():
+    if not grid.index.any():
         raise ValueError(f"shape covers no sample point at --depth {args.depth}")
     dtype = None if args.dtype == "auto" else args.dtype
     store_volume(grid, args.out, dtype=dtype)
@@ -193,6 +193,7 @@ def _cmd_analyze(args) -> int:
         "degenerate": summary.qnt is None,
         "interface_voxels": summary.interface_voxels,
         "gmax": summary.gmax,
+        "route": summary.route,
         "config": {
             "scheme": args.scheme,
             "kernel": args.kernel,

@@ -34,10 +34,10 @@ __all__ = [
     "GaussianKernel",
     "BallKernel",
     "Kernel",
-    "equal_weight_points",
     "kernel_transfer",
     "field_buffer",
     "apply_transfer",
+    "route",
     "fft_convolve",
 ]
 
@@ -113,14 +113,13 @@ def _box_samples(kernel: Kernel, dims, h: float):
     return vals / vals.sum(), [off % n for n in dims]
 
 
-def equal_weight_points(kernel: Kernel, dims, spacing: float) -> int | None:
-    """The point count of the sampled support, 1 for no kernel, where every point
-    carries the same weight; None where the weights differ."""
+def route(kernel: Kernel, dims, spacing: float):
+    """How ``fft_convolve`` filters, "identity" (no kernel), "direct" or "fft", and
+    by what: the samples and indices of ``_box_samples``, a lone 1 for no kernel."""
     if kernel is None:
-        return 1
-    box = _box_samples(kernel, dims, spacing)[0]
-    weights = box[box != 0]
-    return len(weights) if (weights == weights[0]).all() else None
+        return "identity", np.ones((1, 1, 1)), None
+    box, idx = _box_samples(kernel, dims, spacing)
+    return ("direct" if np.count_nonzero(box) <= _DIRECT_POINTS else "fft"), box, idx
 
 
 def kernel_transfer(kernel: Kernel, dims, spacing: float):
@@ -181,7 +180,7 @@ def apply_transfer(values: np.ndarray, transfer, buf: np.ndarray) -> np.ndarray:
     return fields.reshape(values.shape)
 
 
-def _direct_sum(values: np.ndarray, box: np.ndarray, idx, out) -> np.ndarray:
+def _direct_sum(image: VoxelGrid, box: np.ndarray, idx, out) -> np.ndarray:
     """sum_k box[k] values[x - k] over the support points k, an x-slab at a time,
     into ``out`` (or a new array for None).  Points of equal weight are added
     first, in one order for every voxel, and scaled once, Horner-like:
@@ -189,17 +188,23 @@ def _direct_sum(values: np.ndarray, box: np.ndarray, idx, out) -> np.ndarray:
     weights = sorted(set(box[box != 0].tolist()))
     factors = [a / b for a, b in zip(weights, weights[1:])] + weights[-1:]
     if out is None:
-        out = np.zeros(values.shape)  # zeroed by calloc: no slower than np.empty here
+        out = np.zeros(image.dims)  # zeroed by calloc: no slower than np.empty here
     else:
         out.fill(0)
+    r = len(box) // 2  # box offsets 0..r, -r..-1 on each axis
+    buf = np.empty((_SLAB + 2 * r,) + out.shape[1:])  # a slab's values with their x halo
     for x0 in range(0, len(out), _SLAB):
         acc = out[x0:x0 + _SLAB]
+        vals = image.layers(x0 - r, x0 + len(acc) + r, buf[:len(acc) + 2 * r])
         for w, factor in zip(weights, factors):
             for k in zip(*np.nonzero(box == w)):  # C order of the box
-                reads = map(wrap_pieces, out.shape, (x0, 0, 0),
-                            (x0 + len(acc),) + out.shape[1:], [-i[j] for i, j in zip(idx, k)])
-                for (px, (rx,)), (py, (ry,)), (pz, (rz,)) in itertools.product(*reads):
-                    acc[px, py, pz] += values[rx, ry, rz]
+                sx = r - (k[0] if k[0] <= r else k[0] - len(box))  # vals' layer of x0 - kx
+                reads = map(wrap_pieces, out.shape[1:], (0, 0), out.shape[1:],
+                            [-idx[1][k[1]], -idx[2][k[2]]])
+                for (py, (ry,)), (pz, (rz,)) in itertools.product(*reads):
+                    # by x-layers: numpy buffers a strided 3-D add in twice the memory
+                    for a, v in zip(acc, vals[sx:sx + len(acc)]):
+                        a[py, pz] += v[ry, rz]
             acc *= factor
     return out
 
@@ -207,26 +212,29 @@ def _direct_sum(values: np.ndarray, box: np.ndarray, idx, out) -> np.ndarray:
 def fft_convolve(image: VoxelGrid, kernel: Kernel, out: np.ndarray | None = None) -> np.ndarray:
     """Convolve a gray-value image with a kernel, treating the grid as periodic.
 
-    A router: the support's point count picks the direct sum or apply_transfer.
+    A router (``route``): the support's point count picks the direct sum or
+    apply_transfer, each reading the image by x-slabs.
     Returns the field, or ``image.values`` for ``kernel=None``.  Given ``out``, a
     ``field_buffer(dims)`` row, every route leaves the field in its front and
     returns that view instead, so no grid of its own is allocated.  The output is
     clipped to [0, 1] to absorb round-off; values outside [-1e-6, 1 + 1e-6]
     indicate a normalization bug and raise NumericalError.
     """
-    values = image.values
-    field = None if out is None else out[:values.size].reshape(values.shape)
-    if kernel is None and field is None:
-        return values
-    if kernel is None:
-        field[...] = values
-        return field
-    box, idx = _box_samples(kernel, image.dims, image.spacing)
-    if np.count_nonzero(box) <= _DIRECT_POINTS:
-        field = _direct_sum(values, box, idx, field)
-    else:
-        transfer = kernel_transfer(kernel, image.dims, image.spacing)
-        field = apply_transfer(values, transfer, field_buffer(image.dims) if out is None else out)
+    dims = image.dims
+    way, box, idx = route(kernel, dims, image.spacing)
+    if way == "identity" and out is None:
+        return image.values
+    if way == "fft" and out is None:
+        out = field_buffer(dims)
+    field = None if out is None else out[:np.prod(dims)].reshape(dims)
+    if way == "direct":
+        field = _direct_sum(image, box, idx, field)
+    else:  # the values into the field by x-slabs, and the FFT filters them there
+        for x0 in range(0, dims[0], _SLAB):
+            field[x0:x0 + _SLAB] = image.layers(x0, min(x0 + _SLAB, dims[0]))
+        if way == "identity":
+            return field
+        field = apply_transfer(field, kernel_transfer(kernel, dims, image.spacing), out)
     lo, hi = float(field.min()), float(field.max())
     if lo < -1e-6 or hi > 1 + 1e-6:
         raise NumericalError(

@@ -12,7 +12,7 @@ A volume at ``path`` consists of two files:
 Integer payloads map linearly onto [0, 1] by value / (2^bits - 1), bit-exact
 under store/load round trips; f32 payloads hold single-precision values.  A
 depth-p payload must hold colors of the depth-p set or, in f32, their float32
-images, which load as the colors; others are format errors.
+images, which load as the colors' indices; others are format errors.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import VolumeFormatError
-from .voxelgrid import VoxelGrid, adopt, check_spacing
+from .voxelgrid import ValueCheck, VoxelGrid, check_spacing, color_steps
 
 __all__ = ["load_volume", "store_volume"]
 
@@ -37,9 +37,10 @@ _DTYPES = {
 }
 _SIDECAR_KEYS = {"dims", "spacing_um", "depth", "dtype", "order"}
 _TOPS = {"u8": 255, "u16": 65535}  # integer payloads hold rint(value * top)
-# store and load stream the payload in z-slabs of _SLAB layers through one buffer and
-# copy blocks of 8 y-rows to or from the grid's C array, each cast in its source's
-# memory order first: numpy buffers a cast across orders, 2-3x slower at 256^3
+# store and load stream the payload in z-slabs of _SLAB layers through one buffer;
+# a load's indices go into the grid's C array by one transposed copy a slab, other
+# values in blocks of 8 y-rows, each cast in its source's memory order first: numpy
+# buffers a cast across orders, 2-3x slower at 256^3
 _SLAB = 64
 
 
@@ -60,16 +61,19 @@ def store_volume(grid: VoxelGrid, path, dtype: str | None = None) -> None:
 
     ``dtype`` defaults to "u8" for binary grids and "f32" otherwise.  Integer
     dtypes are refused unless every gray value is exactly representable, so
-    that load(store(grid)) never silently loses information.
+    that load(store(grid)) never silently loses information.  A depth-p grid's
+    values are read as k/m of its index block by block, no grid of them.
     """
     if dtype is None:
         dtype = "u8" if grid.depth == 1 else "f32"
     if dtype not in _DTYPES:
         raise VolumeFormatError(f"unknown dtype {dtype!r}, expected one of {sorted(_DTYPES)}")
 
-    vals, top = grid.values, _TOPS.get(dtype)
+    top, m, k = _TOPS.get(dtype), grid.depth and color_steps(grid.depth), grid.index
+    read = (lambda s: k[s] / m) if m else grid.values.__getitem__  # a block's values
     # every x-layer is checked before the file is opened
-    if top is not None and not all(np.array_equal(np.rint(v * top) / top, v) for v in vals):
+    layers = map(read, range(grid.dims[0]))
+    if top is not None and not all(np.array_equal(np.rint(v * top) / top, v) for v in layers):
         raise VolumeFormatError(f"gray values are not exactly representable as {dtype}; use f32")
 
     sidecar = {
@@ -79,14 +83,16 @@ def store_volume(grid: VoxelGrid, path, dtype: str | None = None) -> None:
         "dtype": dtype,
         "order": "x-fastest",
     }
-    cast = lambda s: (s if top is None else np.rint(r := s * top, out=r)).astype(_DTYPES[dtype])
+    # a depth-p block is new, k/m, and scaled in place; a continuous one is a view
+    scale = lambda s: np.rint(r := np.multiply(s, top, out=s if m else None), out=r)
+    cast = lambda s: (s if top is None else scale(s)).astype(_DTYPES[dtype])
     nx, ny, nz = grid.dims
     buf = np.empty((min(_SLAB, nz), ny, nx), _DTYPES[dtype])
     with open(path, "wb") as fh:
         for z0 in range(0, nz, _SLAB):
             slab = buf[: nz - z0]
             for y0 in range(0, ny, 8):
-                slab.T[:, y0 : y0 + 8] = cast(vals[:, y0 : y0 + 8, z0 : z0 + _SLAB])
+                slab.T[:, y0 : y0 + 8] = cast(read(np.s_[:, y0 : y0 + 8, z0 : z0 + _SLAB]))
             fh.write(slab)
     _sidecar_path(path).write_text(json.dumps(sidecar, sort_keys=True) + "\n")
 
@@ -94,7 +100,7 @@ def store_volume(grid: VoxelGrid, path, dtype: str | None = None) -> None:
 def load_volume(path) -> VoxelGrid:
     """Read a grid from ``path`` / ``path.json``; inverse of store_volume.
 
-    A load peaks at the grid's 8 B/voxel, one payload z-slab, one block and scratch.
+    A load peaks at the grid, one payload z-slab and a slab of indices or a block.
     """
     sidecar_file = _sidecar_path(path)
     try:
@@ -153,7 +159,8 @@ def load_volume(path) -> VoxelGrid:
         size = _regular_size(path)
         if size == expected:
             nx, ny, nz = dims
-            out, size = np.empty(dims), 0
+            check, size = ValueCheck(depth), 0
+            out = np.empty(dims, np.float64 if depth is None else np.min_scalar_type(check.m))
             buf = np.empty((min(_SLAB, nz), ny, nx), np_dtype)
             with open(path, "rb") as fh:  # a file changed since the check reads short or long
                 for z0 in range(0, nz, _SLAB):
@@ -161,19 +168,26 @@ def load_volume(path) -> VoxelGrid:
                     size += (got := fh.readinto(slab))
                     if got < slab.nbytes:
                         break
-                    for y0 in range(0, ny, 8):
-                        out[:, y0 : y0 + 8, z0 : z0 + _SLAB] = cast(slab.T[:, y0 : y0 + 8])
+                    if depth is None:  # cast in blocks of 8 y-rows; integer codes lie in [0, 1]
+                        if top is None:
+                            check(slab)
+                        for y0 in range(0, ny, 8):
+                            out[:, y0 : y0 + 8, z0 : z0 + _SLAB] = cast(slab.T[:, y0 : y0 + 8])
+                    else:  # each z-layer's indices, then one transposed copy into the grid
+                        k = np.empty(slab.shape, out.dtype)
+                        for v, layer in zip(slab, k):
+                            check(v if top is None else v / top, layer)
+                        out[:, :, z0 : z0 + _SLAB] = k.T
                 else:
                     size += len(fh.read(1))
+        if size != expected:
+            raise VolumeFormatError(
+                f"payload {path} has {size} bytes, expected {expected} "
+                f"({dims[0]}x{dims[1]}x{dims[2]} of {meta['dtype']})"
+            )
+        check.raise_()
     except OSError as exc:
         raise VolumeFormatError(f"cannot read payload {path}: {exc}") from exc
-    if size != expected:
-        raise VolumeFormatError(
-            f"payload {path} has {size} bytes, expected {expected} "
-            f"({dims[0]}x{dims[1]}x{dims[2]} of {meta['dtype']})"
-        )
-
-    try:
-        return VoxelGrid(adopt(out), float(spacing), depth=depth)
     except ValueError as exc:
         raise VolumeFormatError(f"volume {path} violates grid invariants: {exc}") from exc
+    return VoxelGrid.owning(out, float(spacing), depth)

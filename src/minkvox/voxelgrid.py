@@ -9,7 +9,7 @@ import numpy as np
 
 __all__ = [
     "VoxelGrid",
-    "adopt",
+    "ValueCheck",
     "Ball",
     "Cylinder",
     "Laminate",
@@ -42,7 +42,35 @@ def color_steps(depth: int) -> int:
     return 1 if depth == 1 else depth**3 - 1
 
 
-@dataclass(frozen=True)
+class ValueCheck:
+    """The one check of gray values, layer by layer: a call takes one layer and, for
+    a depth p, writes its color indices k = rint(m v) to ``out``; ``raise_`` raises
+    ValueError for a value outside [0, 1] (NaN too) anywhere before one off the
+    colors, whose float32 images pass, as one check of the whole grid would."""
+
+    def __init__(self, depth: int | None):
+        self.depth, self.m = depth, depth and color_steps(depth)
+        self.lo, self.hi, self.off = np.float64(np.inf), np.float64(-np.inf), False
+
+    def __call__(self, v: np.ndarray, out: np.ndarray | None = None) -> None:
+        self.lo, self.hi = np.minimum(self.lo, v.min()), np.maximum(self.hi, v.max())
+        # negated, so that NaN, which fails every comparison, is out of range
+        if self.depth is None or not (self.lo >= 0.0 and self.hi <= 1.0):
+            return
+        s = np.multiply(v, self.m, dtype=np.float64)
+        out[...] = np.rint(s, out=s)
+        s /= self.m
+        i = np.flatnonzero(s != v)
+        self.off |= not np.array_equal(s.take(i).astype(np.float32), v.take(i))
+
+    def raise_(self) -> None:
+        if not (self.lo >= 0.0 and self.hi <= 1.0):
+            raise ValueError(f"gray values must lie in [0, 1], got range [{self.lo}, {self.hi}]")
+        if self.off:
+            raise ValueError(f"values are not members of the depth-{self.depth} color set")
+
+
+@dataclass(frozen=True, init=False)
 class VoxelGrid:
     """Scalar gray values on a periodic regular grid.
 
@@ -52,67 +80,79 @@ class VoxelGrid:
     the values are linearized x-fastest (Fortran ravel of this layout); see
     :mod:`minkvox.volio`.
 
-    ``depth=None`` marks a continuous gray-value range in [0, 1]; ``depth=p``
-    restricts the values to the discrete color set of depth p, i.e. {0, 1}
-    for p = 1 and multiples of 1/(p^3 - 1) otherwise.  A color's float32
-    image, as an f32 payload holds it, is accepted and stored as the color.
-    Grids can be shared freely: each freezes its own C float64 array, one copy of
-    any other input, snapped in place; a caller's array is never written or
-    frozen.  Only an array handed over by :func:`adopt` is validated and frozen
-    in place of a copy.
+    ``depth=None`` marks a continuous gray-value range in [0, 1], stored as the
+    grid's read-only C float64 ``values``; ``index`` is None.  ``depth=p`` allows
+    only the colors k/m, m = color_steps(p) ({0, 1} for p = 1, multiples of
+    1/(p^3 - 1) otherwise), and the grid stores only ``index``, the read-only C
+    array of the k in np.min_scalar_type(m): 1 B/voxel up to depth 6, 2 up to
+    depth 40.  Its ``values``, index / m, are made anew on each read (8 B/voxel);
+    the program reads ``index`` or ``layers``.  Grids are frozen and can be shared
+    freely.  A caller's array is never written or frozen: depth-p values, or their
+    float32 images, are checked into the index by x-layers, continuous ones copied
+    once.
     """
 
-    values: np.ndarray
+    _data: np.ndarray
     spacing: float
     depth: int | None = None
 
+    def __init__(self, values, spacing: float, depth: int | None = None):
+        self.__dict__.update(_data=values, spacing=spacing, depth=depth)
+        self.__post_init__()
+
     def __post_init__(self):
-        adopted = type(self.values) is _Adopted
-        vals = np.asarray(self.values)  # a plain view of an adopted array
+        vals = np.asarray(self._data)
         if vals.ndim != 3:
             raise ValueError(f"expected a 3D value array, got ndim={vals.ndim}")
         if min(vals.shape) < 2:
             raise ValueError(f"grid dims must all be >= 2, got {vals.shape}")
         check_spacing(self.spacing)
-        if not adopted:  # the one copy: the caller's array is never written or frozen
-            vals = np.array(vals, dtype=np.float64, order="C")
-        # by x-layers, in cache; negated so that NaN, which fails every comparison, is rejected
-        if not all(v.min() >= 0.0 and v.max() <= 1.0 for v in vals):
-            raise ValueError(
-                f"gray values must lie in [0, 1], got range "
-                f"[{vals.min()}, {vals.max()}]"
-            )
-        if self.depth is not None:
-            m = color_steps(self.depth)
-            # by x-layers; a value off its color must be the color's float32 image
-            s = np.empty(vals.shape[1:])
-            for v in vals:
-                np.multiply(v, m, out=s)
-                np.rint(s, out=s)
-                s /= m
-                i = np.flatnonzero(s != v)
-                if not np.array_equal(s.take(i).astype(np.float32), v.take(i)):
-                    raise ValueError(
-                        f"values are not members of the depth-{self.depth} color set"
-                    )
-                if i.size:  # a layer of colors stays as it is
-                    v[...] = s
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
+        check = ValueCheck(self.depth)
+        if self.depth is None:  # the one copy
+            data = vals = np.array(vals, dtype=np.float64, order="C")
+        else:
+            data = np.empty(vals.shape, np.min_scalar_type(check.m))
+        for v, k in zip(vals, data):
+            check(v, k)
+        check.raise_()
+        data.setflags(write=False)
+        object.__setattr__(self, "_data", data)
+
+    @classmethod
+    def owning(cls, data: np.ndarray, spacing: float, depth: int | None) -> VoxelGrid:
+        """The grid of ``data``, a checked C index (depth p) or C float64 values
+        (continuous) that its producer made for this grid alone."""
+        grid = cls.__new__(cls)
+        grid.__dict__.update(_data=data, spacing=spacing, depth=depth)
+        data.setflags(write=False)
+        return grid
+
+    @property
+    def index(self) -> np.ndarray | None:
+        return None if self.depth is None else self._data
 
     @property
     def dims(self) -> tuple[int, int, int]:
-        return self.values.shape
+        return self._data.shape
 
+    def layers(self, x0: int, x1: int, out: np.ndarray | None = None) -> np.ndarray:
+        """The gray values of x-layers x0:x1, read periodically: bitwise
+        ``values[x0:x1]``, a view of it within a continuous grid; a depth-p grid's
+        go into ``out``, where given."""
+        if 0 <= x0 <= x1 <= len(self._data):
+            part = self._data[x0:x1]
+        else:
+            part = self._data.take(range(x0, x1), 0, None if self.depth else out, "wrap")
+        return part if self.depth is None else np.divide(part, color_steps(self.depth), out=out)
 
-class _Adopted(np.ndarray):
-    """A view by which a producer hands a grid the array it alone holds."""
-
-
-def adopt(values: np.ndarray) -> np.ndarray:
-    """Mark a new C float64 array for one VoxelGrid to validate and freeze in place
-    of a copy; its producer passes the result on and never touches the array again."""
-    return values.view(_Adopted)
+    @property
+    def values(self) -> np.ndarray:
+        """The gray values, read-only C float64; new for a depth-p grid on each read."""
+        if self.depth is None:
+            return self._data
+        vals = self._data / color_steps(self.depth)
+        vals.setflags(write=False)
+        return vals
 
 
 # ---------------------------------------------------------------------------
@@ -314,8 +354,9 @@ def voxelize(shape, dims, spacing: float, depth: int = 1) -> VoxelGrid:
                 counts[x0:x1, y0:y1, za:zb] = sum(c[:, :, i::p] for i in range(p))
     del block
 
-    lut = np.floor(np.arange(p**3 + 1) / p**3 * m + 0.5) / m
-    return VoxelGrid(adopt(lut[counts]), spacing, depth=p)
+    # each count out of p^3 to its color index
+    lut = np.floor(np.arange(p**3 + 1) / p**3 * m + 0.5).astype(np.min_scalar_type(m))
+    return VoxelGrid.owning(lut[counts], spacing, p)
 
 
 def shape_in_box(shape, dims, spacing: float) -> bool:

@@ -286,11 +286,11 @@ def test_analyze_of_shifted_volume_is_identical(capsys, tmp_path):
 
 
 def test_analyze_json_reports_interface_voxels_and_gmax(capsys, tmp_path):
-    # both routes fill the two keys; config and the CSV columns do not change
+    # both routes fill the three keys; config and the CSV columns do not change
     one = tmp_path / "one.raw"
     vals = np.zeros((8, 8, 8))
     vals[3, 4, 2] = 1.0
-    for depth in (1, None):  # the integer route, then the float route
+    for depth, route in ((1, "integer"), (None, "identity")):
         store_volume(VoxelGrid(vals, spacing=0.5, depth=depth), str(one))
         rc, out, _ = _run(capsys, "analyze", "--in", one, "--kernel", "none")
         assert rc == 0
@@ -298,19 +298,23 @@ def test_analyze_json_reports_interface_voxels_and_gmax(capsys, tmp_path):
         # only the six face neighbors see the voxel, each with |g| = 1 / (2 h)
         assert report["interface_voxels"] == 6, depth
         assert report["gmax"] == 1.0, depth
+        assert report["route"] == route, depth
         assert set(report["config"]) == {"scheme", "kernel", "sigma", "eps_rel", "depth",
                                          "spacing_um", "dims"}
-    path = _gen_ball(capsys, tmp_path)
-    for kernel in ("none", "ball", "gaussian"):
+    rc, out, _ = _run(capsys, "analyze", "--in", one, "--kernel", "ball")
+    assert rc == 0 and json.loads(out)["route"] == "direct"  # the continuous grid
+    path = _gen_ball(capsys, tmp_path)  # depth 3: 99,373 classes with the ball
+    for kernel, route in (("none", "integer"), ("ball", "integer"), ("gaussian", "fft")):
         rc, out, _ = _run(capsys, "analyze", "--in", path, "--kernel", kernel)
         assert rc == 0
         report = json.loads(out)
         summary = analyze(load_volume(str(path)), make_kernel(kernel, 1.2))
         assert report["interface_voxels"] == summary.interface_voxels > 0, kernel
         assert report["gmax"] == summary.gmax > 0, kernel
+        assert report["route"] == summary.route == route, kernel
         rc, out, _ = _run(capsys, "analyze", "--in", path, "--kernel", kernel, "--format", "csv")
         header = out.splitlines()[0]
-        assert "interface_voxels" not in header and "gmax" not in header
+        assert not {"interface_voxels", "gmax", "route"} & set(header.split(","))
 
 
 # ---------------------------------------------------------------------------

@@ -208,11 +208,13 @@ def test_stacked_fields_equal_one_field_calls():
 
 def test_fft_convolve_memory_peak():
     # the 7-point ball is summed into one plain array, 8 B/voxel, plus numpy's
-    # buffers for the strided z-shifted reads (8.8 here).  The Gaussian goes
-    # through the FFT: the padded buffer, 8 (nz + 2) / nz = 8.25 B/voxel at
-    # nz = 64, plus the support rows, one transfer block and a z-pass slab copy
-    # (11.2); a whole-grid transfer adds 8.25 more, and so does a separate
-    # spectrum
+    # buffers for the strided z-shifted reads of one x-layer and the slab's values
+    # with their x halo, 6 layers, 3/32 of the grid here (9.21); 3-D adds of whole
+    # slabs take buffers twice as large (9.59).  The Gaussian goes through
+    # the FFT: the padded buffer, 8 (nz + 2) / nz = 8.25 B/voxel at nz = 64, plus
+    # the support rows, one transfer block and numpy's copy of a z-pass slab that
+    # overlaps its output, as the values are transformed in place (11.7); a whole-grid transfer adds 8.25 more, and so does a separate
+    # spectrum or the grid's float64 values
     grid = voxelize(fiber_lattice_64(), (64, 64, 64), 1.0, 2)
     for kern, bound in ((BallKernel(1.2), 9.5), (GaussianKernel(1.2), 12.5)):
         tracemalloc.start()
@@ -229,12 +231,18 @@ def test_filtered_analyze_memory_peak():
     # continuous grid) the filtered field (8 B/voxel) and then the 4-layer slab pass
     # of S and W (4.5 at 64^3, as without a filter) read 12.4; a whole-grid transfer
     # held through the filter reads 17.5.  The depth-2 grid takes the integer route,
-    # whose slab scratch reads 3.6; a whole-grid int16 index would add 2
+    # whose slab scratch reads 3.49 (0.97 of the 3.6 that reading float64 values
+    # took); a whole-grid int16 index would add 2, the grid's float64 values 8.
+    # A depth-6 grid has too many classes for the integer route; with no kernel
+    # its differences come from x-slabs of k/m with their halo, and the slab
+    # passes read 5.16, where a float64 grid of its values held through them added 8
     grid = voxelize(fiber_lattice_64(), (64, 64, 64), 1.0, 2)
-    for g, bound in ((VoxelGrid(grid.values, 1.0, None), 15), (grid, 5)):
+    depth6 = random_grid(np.random.default_rng(52), (64, 64, 64), depth=6)
+    for g, kernel, bound in ((VoxelGrid(grid.values, 1.0, None), BallKernel(1.2), 15),
+                             (grid, BallKernel(1.2), 3.8), (depth6, None, 6)):
         tracemalloc.start()
         try:
-            analyze(g, BallKernel(1.2))
+            analyze(g, kernel)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -300,11 +308,13 @@ def test_convolution_preserves_constants():
 
 
 def test_convolution_none_is_identity():
+    # a continuous grid's stored values are returned; a depth-p grid's are made
+    # from its index on each read, bitwise the colors
     rng = np.random.default_rng(3)
+    g = random_grid(rng, (10, 11, 12))
+    assert fft_convolve(g, None) is g.values
     g = random_grid(rng, (10, 11, 12), depth=2)
-    out = fft_convolve(g, None)
-    assert out is g.values
-    assert np.array_equal(out, g.values)
+    assert fft_convolve(g, None).tobytes() == (g.index / 7).tobytes() == g.values.tobytes()
 
 
 def test_convolution_preserves_mean():

@@ -313,7 +313,12 @@ def test_analyze_volume_ignores_filter():
     v_none = analyze(g, kernel=None).volume
     v_ball = analyze(g, kernel=BallKernel(1.2)).volume
     v_gauss = analyze(g, kernel=GaussianKernel(2.0)).volume
-    assert v_none == v_ball == v_gauss == g.values.sum() * g.spacing**3
+    assert v_none == v_ball == v_gauss == _exact_volume(g)
+
+
+def _exact_volume(g: VoxelGrid) -> float:
+    """h^3 (sum k) / m of a depth-p grid, the sum of its color indices k exact."""
+    return int(g.index.sum(dtype=np.int64)) / color_steps(g.depth) * g.spacing**3
 
 
 def test_analyze_metadata_and_invariants():
@@ -499,8 +504,10 @@ def test_any_spacing_scales_the_estimates_exactly(volume, kernel, scheme, eps_re
 # the integer route: depth-p images with no kernel or 1 or 7 equal-weight points
 
 def _float_route(g: VoxelGrid, *args):
-    """analyze of the same values as a continuous grid, which takes the float route."""
-    return analyze(VoxelGrid(g.values, g.spacing, None), *args)
+    """analyze of the same grid on the float route, with the class bound at 0."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(minkowski, "_BINS", 0)
+        return analyze(g, *args)
 
 
 def _assert_routes_agree(a, b, case, tol=1e-14):
@@ -562,7 +569,8 @@ def test_inputs_above_the_class_bound_take_the_float_route(monkeypatch):
         g = random_grid(rng, (8, 9, 10), depth=depth)
         calls.clear()
         r = analyze(g, kernel)
-        assert (not calls) == integer, (depth, kernel)
+        assert (r.route == "integer") == integer, (depth, kernel)
+        assert (not calls) == (integer or kernel is None), (depth, kernel)  # no kernel, no filter
         f = _float_route(g, kernel)
         if integer:
             _assert_routes_agree(r, f, (depth, kernel))
@@ -618,8 +626,8 @@ def test_integer_route_is_exactly_shift_invariant(g, kernel, data):
     offset = data.draw(st.tuples(*[st.integers(-n, n)] * 3))
     base, moved = analyze(g, kernel), analyze(shift(g, offset), kernel)
     assert _same_s_and_w(moved, base)
-    assert base.volume == g.values.sum() * g.spacing**3  # the float sum, as before
-    assert abs(moved.volume - base.volume) <= 1e-15 * base.volume  # its order moves a bit
+    assert base.volume == _exact_volume(g)
+    assert moved.volume == base.volume  # an integer sum: the same in any order
     assert (moved.qnt is None) == (base.qnt is None)
     if base.qnt is not None:
         assert np.array_equal(moved.qnt.mat, base.qnt.mat)
@@ -632,6 +640,7 @@ def test_integer_route_is_exactly_cube_equivariant(g, kernel):
     for mat, apply in cube_symmetries():
         moved = analyze(VoxelGrid(apply(g.values), g.spacing, g.depth), kernel)
         assert _same_s_and_w(moved, base, mat)  # W permuted and sign-flipped exactly
+        assert moved.volume == base.volume
 
 
 @settings(max_examples=60, database=None, deadline=None)
@@ -640,7 +649,9 @@ def test_integer_route_is_exactly_complement_invariant(g, kernel):
     m = color_steps(g.depth)
     k = np.rint(g.values * m)
     complement = VoxelGrid((m - k) / m, g.spacing, g.depth)
-    assert _same_s_and_w(analyze(complement, kernel), analyze(g, kernel))
+    c = analyze(complement, kernel)
+    assert _same_s_and_w(c, analyze(g, kernel))
+    assert c.volume == (k.size * m - int(k.sum())) / m * g.spacing**3  # sum m - k exactly
 
 
 @settings(max_examples=100, database=None, deadline=None)

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -5,12 +7,18 @@ import pytest
 
 from minkvox import (
     Ball,
+    BallKernel,
     Cylinder,
+    GaussianKernel,
     Laminate,
     ShapeUnion,
     VoxelGrid,
+    analyze,
     color_steps,
+    load_volume,
     shape_in_box,
+    store_volume,
+    structure_tensor_orientation,
     voxelize,
 )
 
@@ -73,6 +81,24 @@ def test_grid_values_are_readonly():
     g = VoxelGrid(np.zeros((3, 3, 3)), spacing=1.0, depth=1)
     with pytest.raises(ValueError):
         g.values[0, 0, 0] = 1.0
+    with pytest.raises(ValueError):
+        g.index[0, 0, 0] = 1
+    for name in ("spacing", "depth", "index", "values"):  # a grid is frozen
+        with pytest.raises(AttributeError):
+            setattr(g, name, None)
+
+
+def test_grids_pickle_and_copy():
+    # a frozen dataclass: pickle and copy restore its fields through __dict__, so a
+    # grid can go to a worker process
+    for g in (displaced_ball(4, 2), VoxelGrid(np.full((3, 3, 3), 0.25), 0.5, None)):
+        for twin in (pickle.loads(pickle.dumps(g)), copy.copy(g), copy.deepcopy(g)):
+            assert (twin.dims, twin.spacing, twin.depth) == (g.dims, g.spacing, g.depth)
+            assert twin.values.tobytes() == g.values.tobytes()
+            assert (twin.index is None) == (g.index is None), g.depth
+            with pytest.raises(AttributeError):
+                twin.spacing = 1.0
+        assert repr(g).startswith("VoxelGrid(_data=array(")
 
 
 def test_grid_freezes_its_own_copy_not_the_callers_array():
@@ -117,24 +143,66 @@ def test_grid_owns_its_values_for_every_input_layout():
 
 
 def test_grid_copies_a_callers_array_once():
-    # one grid-sized allocation, 8 B/voxel, per construction from a caller's array,
-    # whatever its layout and dtype; a second copy would peak at 16 B/voxel or more
+    # one grid-sized allocation per construction from a caller's array, whatever
+    # its layout and dtype: the u8 index of a depth-2 grid beside one x-layer of
+    # check scratch (1.15 B/voxel; 1.45 for the strided layers of an F-ordered
+    # float32 view), a seventh and a sixth of the 8.15 and 8.48 that a float64 copy
+    # took, and a continuous grid's float64 copy (8.0); a float64 copy beside the
+    # index would peak at 9 B/voxel or more, a second copy at 16
     rng = np.random.default_rng(16)
     dims = (64, 64, 64)
     colors = rng.integers(0, 8, dims) / 7
     inputs = {
-        "C float64 colors": (colors, 2),
-        "F float32 view": (colors.astype(np.float32).ravel(order="F").reshape(dims, order="F"), 2),
-        "continuous": (rng.random(dims), None),
+        "C float64 colors": (colors, 2, 1.4),
+        "F float32 view": (colors.astype(np.float32).ravel(order="F").reshape(dims, order="F"),
+                           2, 2.1),
+        "continuous": (rng.random(dims), None, 9.6),
     }
-    for name, (a, depth) in inputs.items():
+    for name, (a, depth, bound) in inputs.items():
         tracemalloc.start()
         try:
             VoxelGrid(a, 1.0, depth)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak / a.size <= 9.6, (name, peak / a.size)
+        assert peak / a.size <= bound, (name, peak / a.size)
+
+
+def test_depth_p_grids_run_without_their_float_values(tmp_path, monkeypatch):
+    # the program reads a depth-p grid's index: with ``values`` raising, analyze on
+    # each route, fiber-orient, store and load give what they gave before, bitwise
+    grid = displaced_ball(8, 2)  # 12^3, room for the 3-sigma Gaussian 1.2
+    binary = displaced_ball(8, 1)
+    kernels = (None, BallKernel(1.2), GaussianKernel(1.2))
+
+    def run(tag):
+        reports = [analyze(grid, k) for k in kernels]
+        reports += [structure_tensor_orientation(grid, k, GaussianKernel(1.5))
+                    for k in (None, BallKernel(1.2))]
+        payloads = []
+        for depth, g, dtype in ((2, grid, "f32"), (1, binary, "u8")):
+            store_volume(g, tmp_path / f"{tag}{depth}.raw", dtype=dtype)
+            payloads.append((tmp_path / f"{tag}{depth}.raw").read_bytes())
+            assert np.array_equal(load_volume(tmp_path / f"{tag}{depth}.raw").index, g.index)
+        return reports, payloads
+
+    expected = run("a")
+    floats = VoxelGrid.values
+
+    def raising(self):
+        if self.depth is not None:
+            raise AssertionError("a depth-p grid's float values were read")
+        return floats.fget(self)
+
+    monkeypatch.setattr(VoxelGrid, "values", property(raising))
+    got = run("b")
+    assert got[1] == expected[1]
+    for a, b in zip(got[0][:3], expected[0][:3]):
+        assert (a.volume, a.surface_area, a.route) == (b.volume, b.surface_area, b.route)
+        assert np.array_equal(a.normal_tensor.mat, b.normal_tensor.mat)
+    for a, b in zip(got[0][3:], expected[0][3:]):
+        assert np.array_equal(a.a_est.mat, b.a_est.mat)
+    assert [r.route for r in got[0][:3]] == ["integer", "integer", "fft"]
 
 
 def test_voxelize_covering_ball_all_ones():
@@ -309,11 +377,11 @@ def test_voxelize_bitwise_equals_brute_force(case):
 
 def test_voxelize_memory_peak():
     # counts 1 B/voxel, the fine block of one z-chunk at most 1 (nx ny nz
-    # booleans) and the shape tests of a member's box, then the output 8 B/voxel
-    # beside the counts: 9.32 at depth 2 and 9.31 at depth 3, with 0.28 of
-    # margin.  A block of 2^24 booleans took 12.5 and 39.4, a second, snapped
-    # copy of the output 17.2, a mean over the whole fine block into a float64
-    # fraction grid 33
+    # booleans) and the shape tests of a member's box, then the u8 index beside
+    # the counts: 4.22 at depth 2 and 4.82 at depth 3, with 0.28 of margin, half
+    # of the 9.32 and 9.31 that a float64 output took.  A block of 2^24 booleans
+    # took 12.5 and 39.4, a second, snapped copy of a float64 output 17.2, a mean
+    # over the whole fine block into a float64 fraction grid 33
     shape = fiber_lattice_64()
     for depth in (2, 3):
         tracemalloc.start()
@@ -322,7 +390,7 @@ def test_voxelize_memory_peak():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak / 64**3 <= 9.6, (depth, peak / 64**3)
+        assert peak / 64**3 <= 5.1, (depth, peak / 64**3)
 
 
 def test_laminate_voxelization_binary():
