@@ -33,7 +33,6 @@ from .analytic import (
     ball_quantities,
     cylinder_quantities,
     fiber_system_tensors,
-    steiner_volume,
 )
 from .convergence import ConvergenceRow, run_convergence
 from .fiberorient import (

@@ -1,5 +1,5 @@
 """Closed-form reference values: one ``BodyQuantities`` record (V, S, W, QNT) per
-ball or cylinder, the Steiner volume of a ball and the tensors of fiber systems."""
+ball or cylinder and the tensors of fiber systems."""
 
 from __future__ import annotations
 
@@ -14,7 +14,6 @@ __all__ = [
     "BodyQuantities",
     "FiberSpec",
     "ball_quantities",
-    "steiner_volume",
     "cylinder_quantities",
     "fiber_system_tensors",
 ]
@@ -41,23 +40,6 @@ def ball_quantities(radius: float) -> BodyQuantities:
         surface_area=surface,
         normal_tensor=SymTensor3(np.eye(3) * (surface / 9)),
         qnt=SymTensor3(np.eye(3) / 3),
-    )
-
-
-def steiner_volume(radius: float, epsilon: float) -> float:
-    """Volume of the parallel body of a ball at distance epsilon.
-
-    V(K_eps) = V + eps S + pi eps^2 V_1 + (4 pi / 3) eps^3 V_0 with the ball's
-    V_1 = 4R and V_0 = 1, which collapses to (4 pi / 3)(R + eps)^3.
-    """
-    if epsilon < 0:
-        raise ValueError(f"epsilon must be non-negative, got {epsilon}")
-    q = ball_quantities(radius)
-    return (
-        q.volume
-        + epsilon * q.surface_area
-        + np.pi * epsilon**2 * (4 * float(radius))
-        + (4 * np.pi / 3) * epsilon**3
     )
 
 

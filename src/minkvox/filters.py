@@ -213,18 +213,15 @@ def fft_convolve(image: VoxelGrid, kernel: Kernel, out: np.ndarray | None = None
     """Convolve a gray-value image with a kernel, treating the grid as periodic.
 
     A router (``route``): the support's point count picks the direct sum or
-    apply_transfer, each reading the image by x-slabs.
-    Returns the field, or ``image.values`` for ``kernel=None``.  Given ``out``, a
-    ``field_buffer(dims)`` row, every route leaves the field in its front and
-    returns that view instead, so no grid of its own is allocated.  The output is
-    clipped to [0, 1] to absorb round-off; values outside [-1e-6, 1 + 1e-6]
-    indicate a normalization bug and raise NumericalError.
+    apply_transfer, each reading the image by x-slabs, or copies the values for
+    ``kernel=None``.  Returns the field, a new array or, given ``out`` (a
+    ``field_buffer(dims)`` row), a view of its front, so that no grid of its own is
+    allocated.  The output is clipped to [0, 1] to absorb round-off; values outside
+    [-1e-6, 1 + 1e-6] indicate a normalization bug and raise NumericalError.
     """
     dims = image.dims
     way, box, idx = route(kernel, dims, image.spacing)
-    if way == "identity" and out is None:
-        return image.values
-    if way == "fft" and out is None:
+    if way != "direct" and out is None:
         out = field_buffer(dims)
     field = None if out is None else out[:np.prod(dims)].reshape(dims)
     if way == "direct":

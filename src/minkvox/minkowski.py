@@ -171,47 +171,6 @@ class MinkowskiSummary:
     route: str
 
 
-def _histogram(index: np.ndarray, m: int, points: int, scheme: str):
-    """Per class q = |d|^2 of the integer differences d of N (the color index, or
-    its sum over the cross of 7 points): the voxel count and the six sums of
-    d_i d_j in COMPONENTS order, over 3 (K m)^2 + 1 classes, and the scheme's
-    divisor.  Class 0, the voxels without gradient, stays empty."""
-
-    def colors(xs):  # the indices of layers xs, read periodically
-        return index.take(xs, axis=0, mode="wrap").astype(np.int16)
-
-    nx = len(index)
-    bins = 3 * (points * m) ** 2 + 1
-    counts, sums = np.zeros(bins, np.int64), np.zeros((6, bins))
-    halo = 1 + (points == 7)  # layers beyond an x-slab that its differences read
-    k = colors(range(-halo, halo))
-    for x0 in range(0, nx, SLAB):  # k: layers x0 - halo to x1 + halo; no grid of indices
-        k = np.concatenate((k[-2 * halo:], colors(range(x0 + halo, min(x0 + SLAB, nx) + halo))))
-        n = k
-        if points == 7:  # N of layers 1:-1
-            mid, n = k[1:-1], k[:-2] + k[1:-1] + k[2:]
-            for axis, shift in itertools.product((1, 2), (1, -1)):
-                src, dst = np.moveaxis(mid, axis, 0), np.moveaxis(n, axis, 0)
-                for piece, (r,) in wrap_pieces(len(src), 0, len(src), shift):
-                    dst[piece] += src[r]
-        d, div = differences(n, 1, len(n) - 1, scheme)
-        d = d.reshape(3, -1)
-        d = np.compress(d.any(axis=0), d, axis=1)
-        sq = np.square(d, dtype=np.intp)
-        q = sq.sum(axis=0)
-        part = np.bincount(q)  # as long as the slab's largest q needs
-        counts[:len(part)] += part
-        # float64 sums of integers below 2^53 are exact: a class sum is below V q, and
-        # q < _BINS, so for any grid of V < 2^36 (6.9e10) voxels
-        for slot, (i, j) in enumerate(COMPONENTS):
-            if slot != 2:
-                weights = sq[i] if i == j else np.multiply(d[i], d[j], dtype=np.float64)
-                part = np.bincount(q, weights)
-                sums[slot, :len(part)] += part
-    sums[2] = np.arange(bins) * counts - sums[0] - sums[1]  # d_z^2 = q - d_x^2 - d_y^2
-    return counts, sums, div
-
-
 def _weights(norms: np.ndarray, eps_rel: float, top: float):
     """The weights 2^k / (|d| + eps_rel max|d|) of W's sum, for ``norms`` |d| > 0 and
     ``top`` = max|d|, and k.  With 2^-k eps_rel top in [1/4, 1) where that is at least
@@ -259,13 +218,49 @@ def _float_sums(image: VoxelGrid, kernel: Kernel, scheme: str, eps_rel: float):
 def _integer_sums(image: VoxelGrid, points: int, scheme: str, eps_rel: float):
     """(sum |d|, 2^k sum d d^T / (|d| + eps_rel max|d|) in COMPONENTS order, k,
     interface voxels, max|d|, c) in lattice units, the gradient being d / (c h), from
-    the class histogram of a depth-p image: d is an integer vector, c = K m div, and
+    the class histogram of a depth-p image: d is the integer vector of differences of
+    N (the color index, or its sum over the cross of 7 points), c = K m div.  One
+    pass over x-slabs fills, per class q = |d|^2, the voxel count and the six sums
+    M[q] of d_i d_j in COMPONENTS order, over 3 (K m)^2 + 1 classes; class 0, the
+    voxels without gradient, stays empty.  Then
 
         sum |d| = sum_q count[q] sqrt q,   sum_q M[q] 2^k / (sqrt q + eps_rel sqrt(max q)),
 
     each a correctly rounded sum (math.fsum) over the classes."""
-    m = color_steps(image.depth)
-    counts, sums, div = _histogram(image.index, m, points, scheme)
+    index, m = image.index, color_steps(image.depth)
+
+    def colors(xs):  # the indices of layers xs, read periodically
+        return index.take(xs, axis=0, mode="wrap").astype(np.int16)
+
+    nx = len(index)
+    bins = 3 * (points * m) ** 2 + 1
+    counts, sums = np.zeros(bins, np.int64), np.zeros((6, bins))
+    halo = 1 + (points == 7)  # layers beyond an x-slab that its differences read
+    ks = colors(range(-halo, halo))
+    for x0 in range(0, nx, SLAB):  # ks: layers x0 - halo to x1 + halo; no grid of indices
+        ks = np.concatenate((ks[-2 * halo:], colors(range(x0 + halo, min(x0 + SLAB, nx) + halo))))
+        n = ks
+        if points == 7:  # N of layers 1:-1
+            mid, n = ks[1:-1], ks[:-2] + ks[1:-1] + ks[2:]
+            for axis, shift in itertools.product((1, 2), (1, -1)):
+                src, dst = np.moveaxis(mid, axis, 0), np.moveaxis(n, axis, 0)
+                for piece, (r,) in wrap_pieces(len(src), 0, len(src), shift):
+                    dst[piece] += src[r]
+        d, div = differences(n, 1, len(n) - 1, scheme)
+        d = d.reshape(3, -1)
+        d = np.compress(d.any(axis=0), d, axis=1)
+        sq = np.square(d, dtype=np.intp)
+        q = sq.sum(axis=0)
+        part = np.bincount(q)  # as long as the slab's largest q needs
+        counts[:len(part)] += part
+        # float64 sums of integers below 2^53 are exact: a class sum is below V q, and
+        # q < _BINS, so for any grid of V < 2^36 (6.9e10) voxels
+        for slot, (i, j) in enumerate(COMPONENTS):
+            if slot != 2:
+                weights = sq[i] if i == j else np.multiply(d[i], d[j], dtype=np.float64)
+                part = np.bincount(q, weights)
+                sums[slot, :len(part)] += part
+    sums[2] = np.arange(bins) * counts - sums[0] - sums[1]  # d_z^2 = q - d_x^2 - d_y^2
     q = np.flatnonzero(counts)  # the classes present, ascending
     root = np.sqrt(q)
     top = math.sqrt(q[-1]) if q.size else 0.0

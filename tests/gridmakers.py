@@ -3,10 +3,12 @@
 Expensive voxelizations are cached so the property tests and the acceptance
 tests can reuse the same grids.  All builders are deterministic.  The
 quantization, periodic shifts and cube symmetries are what the invariance and
-equivariance tests apply to the grids.
+equivariance tests apply to the grids.  ``traced_peak`` measures the memory
+peaks that the memory tests bound.
 """
 
 import itertools
+import tracemalloc
 from functools import lru_cache
 
 import numpy as np
@@ -117,6 +119,16 @@ def axis_triple_fibers(depth: int = 2) -> VoxelGrid:
         Cylinder(center=(38.0, 38.0, 24.0), axis=(0.0, 0.0, 1.0), length=L, diameter=D),
     )
     return voxelize(ShapeUnion(shapes), (n, n, n), h, depth)
+
+
+def traced_peak(call, *args, **kwargs) -> int:
+    """The peak bytes that tracemalloc traces during ``call(*args, **kwargs)``."""
+    tracemalloc.start()
+    try:
+        call(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def random_grid(rng: np.random.Generator, dims=(12, 12, 12), h: float = 1.0,

@@ -34,7 +34,6 @@ from minkvox import (
     fiber_system_tensors,
     relative_tensor_error,
     run_convergence,
-    steiner_volume,
     structure_tensor_orientation,
 )
 from minkvox.voxelgrid import Ball, VoxelGrid, voxelize
@@ -210,13 +209,6 @@ def test_property_bundle_within_time_budget():
         if not 0.0 <= summary.beta <= 1.0:
             failures.append("beta range")
             break
-
-    # Steiner identity: the expansion coefficients reproduce the grown ball
-    for radius in (0.5, 2.0):
-        for eps in (0.0, 0.3, 1.7):
-            grown = 4 / 3 * np.pi * (radius + eps) ** 3
-            if abs(steiner_volume(radius, eps) - grown) > 1e-12 * grown:
-                failures.append("steiner")
 
     # filter mean preservation
     g = VoxelGrid(rng.random((16, 16, 16)), spacing=0.5, depth=None)

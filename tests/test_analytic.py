@@ -13,7 +13,6 @@ from minkvox import (
     fiber_system_tensors,
     relative_tensor_error,
     run_convergence,
-    steiner_volume,
     voxelize,
 )
 
@@ -39,19 +38,6 @@ def test_ball_quantities_closed_forms():
     assert np.array_equal(q.qnt.mat, np.eye(3) / 3)
     with pytest.raises(ValueError):
         ball_quantities(0.0)
-
-
-def test_steiner_examples():
-    assert steiner_volume(1.0, 0.0) == pytest.approx(4 * np.pi / 3, rel=1e-15)
-    assert steiner_volume(1.0, 1.0) == pytest.approx(32 * np.pi / 3, rel=1e-15)
-    assert steiner_volume(1.0, 0.5) == pytest.approx(4.5 * np.pi, rel=1e-15)
-
-
-def test_steiner_matches_grown_ball():
-    for R in (0.5, 1.0, 3.0):
-        for eps in (0.0, 0.1, 1.0, 10.0):
-            direct = 4 * np.pi / 3 * (R + eps) ** 3
-            assert abs(steiner_volume(R, eps) - direct) <= 1e-12 * direct
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ import pytest
 
 import minkvox
 from minkvox import ConvergenceRow, VoxelGrid, analyze, load_volume, store_volume
-from minkvox import convergence
+from minkvox import convergence, filters
 from minkvox.cli import main, make_kernel
 from minkvox.filters import BallKernel
 
@@ -65,6 +65,11 @@ def test_usage_errors_exit_1(capsys, tmp_path):
                       "--out", tmp_path / "b.raw")
     assert rc == 1 and "--diameter" in err
 
+    for size in (("--diameter", 2), ("--length", 4)):
+        rc, _, err = _run(capsys, "generate", "--shape", "fiber-array", "--dims", 8, 8, 8,
+                          "--fiber", 1, 0, 0, 4, 4, 4, *size, "--out", tmp_path / "f.raw")
+        assert rc == 1 and "requires --diameter and --length" in err
+
 
 def test_usage_error_line_has_one_prefix(capsys):
     for args, message in (
@@ -108,11 +113,13 @@ def test_io_errors_exit_2(capsys, tmp_path):
         assert rc == 2 and out == ""
         assert err.startswith("minkvox: error:") and err.count("\n") == 1
 
-    # sidecar values of the wrong JSON type are format errors, not tracebacks
+    # sidecar values of the wrong JSON type, and a sidecar that is a JSON array (bad
+    # None), are format errors, not tracebacks
     side = tmp_path / "nan.raw.json"
     meta = json.loads(side.read_text())
-    for key, bad in (("spacing_um", [1]), ("spacing_um", "1"), ("depth", True)):
-        side.write_text(json.dumps(dict(meta, **{key: bad})))
+    for key, bad in (("spacing_um", [1]), ("spacing_um", "1"), ("depth", True),
+                     ("JSON object", None)):
+        side.write_text(json.dumps([meta] if bad is None else dict(meta, **{key: bad})))
         rc, out, err = _run(capsys, "analyze", "--in", nan_path)
         assert rc == 2 and out == "", (key, bad)
         assert err.startswith("minkvox: error:") and err.count("\n") == 1
@@ -134,6 +141,24 @@ def test_structureless_image_exits_3(capsys, tmp_path):
                       "--second-kernel", "gaussian", "--second-sigma", 2)
     assert rc == 3
     assert "structure-tensor signal" in err
+
+
+def test_filter_output_out_of_range_exits_3(capsys, tmp_path, monkeypatch):
+    # samples that sum to two instead of one push the filtered field above 1 on the
+    # direct route (Gaussian 0.4, 7 points of two weights) and on the FFT route
+    samples = filters._box_samples
+
+    def doubled(*args):
+        box, idx = samples(*args)
+        return 2 * box, idx
+
+    monkeypatch.setattr(filters, "_box_samples", doubled)
+    path = _gen_ball(capsys, tmp_path)
+    for sigma in (0.4, 1.2):
+        rc, out, err = _run(capsys, "analyze", "--in", path,
+                            "--kernel", "gaussian", "--sigma", sigma)
+        _assert_one_error_line(rc, out, err, 3)
+        assert "exceeds [0, 1] beyond round-off" in err, sigma
 
 
 def test_degenerate_analyze_warns_but_exits_0(capsys, tmp_path):

@@ -1,4 +1,3 @@
-import tracemalloc
 import weakref
 
 import numpy as np
@@ -27,6 +26,7 @@ from gridmakers import (
     roll_gradient,
     shift,
     whole_transfer,
+    traced_peak,
 )
 
 
@@ -322,12 +322,7 @@ def test_orientation_memory_peak():
     # depth-2 image is read by slabs of the first filter from its index (68.7 too)
     for depth in (None, 2):
         image = random_grid(np.random.default_rng(94), (64, 64, 64), depth=depth)
-        tracemalloc.start()
-        try:
-            structure_tensor_orientation(image, BallKernel(1.2), GaussianKernel(2.0))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(structure_tensor_orientation, image, BallKernel(1.2), GaussianKernel(2.0))
         assert peak / 64**3 <= 72, (depth, peak / 64**3)
 
 

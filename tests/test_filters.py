@@ -1,4 +1,3 @@
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,6 +28,7 @@ from gridmakers import (
     sampled_kernel,
     shift,
     whole_transfer,
+    traced_peak,
 )
 
 KERNELS = (GaussianKernel(1.2), GaussianKernel(2.0), BallKernel(1.2),
@@ -217,12 +217,7 @@ def test_fft_convolve_memory_peak():
     # spectrum or the grid's float64 values
     grid = voxelize(fiber_lattice_64(), (64, 64, 64), 1.0, 2)
     for kern, bound in ((BallKernel(1.2), 9.5), (GaussianKernel(1.2), 12.5)):
-        tracemalloc.start()
-        try:
-            fft_convolve(grid, kern)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(fft_convolve, grid, kern)
         assert peak / 64**3 <= bound, (kern, peak / 64**3)
 
 
@@ -240,12 +235,7 @@ def test_filtered_analyze_memory_peak():
     depth6 = random_grid(np.random.default_rng(52), (64, 64, 64), depth=6)
     for g, kernel, bound in ((VoxelGrid(grid.values, 1.0, None), BallKernel(1.2), 15),
                              (grid, BallKernel(1.2), 3.8), (depth6, None, 6)):
-        tracemalloc.start()
-        try:
-            analyze(g, kernel)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(analyze, g, kernel)
         assert peak / 64**3 <= bound, (g.depth, peak / 64**3)
 
 
@@ -308,11 +298,11 @@ def test_convolution_preserves_constants():
 
 
 def test_convolution_none_is_identity():
-    # a continuous grid's stored values are returned; a depth-p grid's are made
-    # from its index on each read, bitwise the colors
+    # a new field holds a bitwise copy of the values: a continuous grid's stored
+    # floats, a depth-p grid's colors made from its index
     rng = np.random.default_rng(3)
     g = random_grid(rng, (10, 11, 12))
-    assert fft_convolve(g, None) is g.values
+    assert fft_convolve(g, None).tobytes() == g.values.tobytes()
     g = random_grid(rng, (10, 11, 12), depth=2)
     assert fft_convolve(g, None).tobytes() == (g.index / 7).tobytes() == g.values.tobytes()
 

@@ -2,6 +2,8 @@ import ast
 import importlib
 import os
 import pkgutil
+import re
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -77,12 +79,31 @@ def test_no_function_leaves_a_parameter_unused():
     assert not unused
 
 
-def test_python_dash_m_runs_the_cli():
+def test_python_dash_m_runs_the_cli(monkeypatch, capsys):
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     run = subprocess.run([sys.executable, "-m", "minkvox", "--help"], env=env,
                          capture_output=True, text=True, timeout=60)
     assert run.returncode == 0, run.stderr
     assert run.stdout.startswith("usage: minkvox")
+    # the same entry point in process, where its exit code is seen as SystemExit; an
+    # earlier import of the module would make runpy warn
+    monkeypatch.delitem(sys.modules, "minkvox.__main__", raising=False)
+    monkeypatch.setattr(sys, "argv", ["minkvox", "frobnicate"])
+    with pytest.raises(SystemExit) as exit_:
+        runpy.run_module("minkvox", run_name="__main__")
+    assert exit_.value.code == 1
+    assert capsys.readouterr().err.startswith("minkvox: error:")
+
+
+def test_readme_python_examples_run_in_order(capsys):
+    # each block builds on the names of the blocks before it, as a reader runs them
+    blocks = re.findall(r"^```python\n(.*?)^```$", (SRC.parent / "README.md").read_text(),
+                        re.MULTILINE | re.DOTALL)
+    assert len(blocks) >= 3
+    names = {}
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), names)
+    assert capsys.readouterr().out
 
 
 def test_console_script_names_the_cli_main():

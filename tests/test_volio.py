@@ -1,7 +1,6 @@
 import json
 import os
 import threading
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,7 +21,7 @@ from minkvox import volio
 from minkvox.cli import main
 from minkvox.voxelgrid import SPACING_RANGE_UM
 
-from gridmakers import color_set, displaced_ball, fiber_lattice_64, random_grid
+from gridmakers import color_set, displaced_ball, fiber_lattice_64, random_grid, traced_peak
 
 
 def test_u8_round_trip_bit_exact(tmp_path):
@@ -111,12 +110,7 @@ def test_store_memory_peak(tmp_path):
     # Whole-grid scaled and check copies plus the payload and its bytes took 17
     lattice = voxelize(fiber_lattice_64(), (64, 64, 64), 1.0, 1)
     grid = VoxelGrid(lattice.values.reshape(64, 16, 256), 1.0, 1)
-    tracemalloc.start()
-    try:
-        store_volume(grid, tmp_path / "f.raw", dtype="u8")
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(store_volume, grid, tmp_path / "f.raw", dtype="u8")
     assert peak / 64**3 <= 1.8, peak / 64**3
 
 
@@ -166,12 +160,7 @@ def test_load_memory_peak(tmp_path):
     store_volume(VoxelGrid(lattice.values.reshape(dims), 1.0, 2), tmp_path / "f.raw")
     store_volume(random_grid(np.random.default_rng(3), dims, depth=2), tmp_path / "r.raw")
     for name in ("f.raw", "r.raw"):
-        tracemalloc.start()
-        try:
-            load_volume(tmp_path / name)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(load_volume, tmp_path / name)
         assert peak / 64**3 <= 2.65, (name, peak / 64**3)
 
 
@@ -293,13 +282,11 @@ def test_oversized_payload_is_refused_unread(tmp_path):
     f = tmp_path / "o.raw"
     store_volume(VoxelGrid(np.zeros((4, 4, 4)), spacing=1.0, depth=1), f)
     f.write_bytes(bytes(8 << 20))
-    tracemalloc.start()
-    try:
+    def refused():
         with pytest.raises(VolumeFormatError, match=f"{8 << 20} bytes, expected 64"):
             load_volume(f)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+
+    peak = traced_peak(refused)
     assert peak < 1 << 20, peak
 
 

@@ -1,6 +1,5 @@
 import copy
 import pickle
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,6 +28,7 @@ from gridmakers import (
     fiber_lattice_64,
     quantize,
     shift,
+    traced_peak,
 )
 
 
@@ -46,6 +46,8 @@ def test_color_set_sizes():
 def test_grid_invariants_enforced():
     ok = VoxelGrid(np.zeros((2, 2, 2)), spacing=1.0, depth=1)
     assert ok.dims == (2, 2, 2)
+    with pytest.raises(ValueError, match="expected a 3D value array"):
+        VoxelGrid(np.zeros((2, 2)), spacing=1.0, depth=1)
     with pytest.raises(ValueError):
         VoxelGrid(np.zeros((1, 2, 2)), spacing=1.0, depth=1)
     with pytest.raises(ValueError):
@@ -159,12 +161,7 @@ def test_grid_copies_a_callers_array_once():
         "continuous": (rng.random(dims), None, 9.6),
     }
     for name, (a, depth, bound) in inputs.items():
-        tracemalloc.start()
-        try:
-            VoxelGrid(a, 1.0, depth)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(VoxelGrid, a, 1.0, depth)
         assert peak / a.size <= bound, (name, peak / a.size)
 
 
@@ -250,13 +247,11 @@ def test_voxelize_argument_validation():
     with pytest.raises(ValueError):
         voxelize(ball, (4, 4, 4), 1.0, 0)
     # one voxel layer at depth 400 holds 4.1e9 sub-samples; refused up front
-    tracemalloc.start()
-    try:
+    def refused():
         with pytest.raises(ValueError, match="sub-samples per voxel layer"):
             voxelize(Ball(center=(4.0,) * 3, radius=2.0), (8, 8, 8), 1.0, 400)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+
+    peak = traced_peak(refused)
     assert peak < 1 << 20
 
 
@@ -384,12 +379,7 @@ def test_voxelize_memory_peak():
     # over the whole fine block into a float64 fraction grid 33
     shape = fiber_lattice_64()
     for depth in (2, 3):
-        tracemalloc.start()
-        try:
-            voxelize(shape, (64, 64, 64), 1.0, depth)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(voxelize, shape, (64, 64, 64), 1.0, depth)
         assert peak / 64**3 <= 5.1, (depth, peak / 64**3)
 
 
