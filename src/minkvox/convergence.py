@@ -54,13 +54,15 @@ def run_convergence(
     ``(L + D, 2D, 2D)``.  ``displacement`` shifts the body center away from
     the box center, in physical units, so sub-voxel placement effects can be
     probed.  Rows come back sorted by (D/h, depth, kernel).  Raises
-    ValueError for a box factor, an aspect or a resolution that is not positive
-    and finite or a voxel size D/(D/h) outside ``SPACING_RANGE_UM``, and
+    ValueError for a diameter, a box factor, an aspect or a resolution that is not
+    positive and finite or a voxel size D/(D/h) outside ``SPACING_RANGE_UM``, and
     DegenerateImageError when a sweep point voxelizes to an image without
     interfaces.
     """
     if shape not in ("ball", "cylinder"):
         raise ValueError(f"shape must be 'ball' or 'cylinder', got {shape!r}")
+    if not 0 < diameter < np.inf:
+        raise ValueError(f"diameter D must be positive and finite, got {diameter}")
     if not 0 < box_factor < np.inf:
         raise ValueError(f"box factor must be positive and finite, got {box_factor}")
     if not 0 < aspect < np.inf:  # for a ball too, which does not use it
@@ -80,9 +82,8 @@ def run_convergence(
         if not (0 < res < np.inf):
             raise ValueError(f"resolutions (D/h) must be positive and finite, got {res}")
         h = diameter / res
-        # before the references: a ball volume overflows long before h does; h <= 0
-        # and NaN are left to the ball here, or refused above by the fiber: each names D
-        if h > hi or 0 < h < lo:
+        # before the references: a ball volume overflows long before h does
+        if not lo <= h <= hi:
             raise ValueError(f"voxel size D/(D/h) = {h} um is outside [{lo:g}, {hi:g}] um")
         dims = tuple(int(round(b * res)) for b in box)
         body = body_at(tuple(n * h / 2 + x for n, x in zip(dims, disp)))

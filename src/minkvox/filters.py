@@ -7,28 +7,27 @@ index (0, 0, 0)) and renormalized so that the samples sum to one, which makes
 the convolution mean-preserving; the voxel spacing h enters only the range
 check of the physical width h*sigma, so the samples and every filtered field
 are the same at any h.  The profile is evaluated on the support's bounding box
-of offsets only.  A support of at most
-_DIRECT_POINTS lattice points (a ball of sigma below sqrt 2) is summed directly,
-point by point in one order for every voxel: flat regions stay exactly flat,
-and a shifted image gives the shifted field bitwise.  Larger supports go by
-FFT, which spreads round-off over every voxel.  Its transfer function runs
-numpy's rfftn passes on the rows that box reaches, as all-zero rows transform
-to exact zeros: z and y at once, x a block of y-rows at a time inside a
-convolution, which runs in one buffer per field whose z-rows are padded to hold
-the spectrum; no whole-grid transfer is held.
+of offsets only.  A one-point support (a ball of sigma below 1, a Gaussian below
+1/3) is the identity.  The 7-point cross is summed directly from the grid's own
+numbers (``gradient.cross``), exact integers at depth p, and scaled once: flat
+regions stay exactly flat, and a shifted image gives the shifted field bitwise.
+Larger supports go by FFT, which spreads round-off over every voxel.  Its
+transfer function runs numpy's rfftn passes on the rows that box reaches, as
+all-zero rows transform to exact zeros: z and y at once, x a block of y-rows at
+a time inside a convolution, which runs in one buffer per field whose z-rows
+are padded to hold the spectrum; no whole-grid transfer is held.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
 
 from .errors import NumericalError
-from .gradient import wrap_pieces
-from .voxelgrid import VoxelGrid
+from .gradient import cross
+from .voxelgrid import VoxelGrid, color_steps
 
 __all__ = [
     "GaussianKernel",
@@ -44,7 +43,7 @@ __all__ = [
 GAUSSIAN_TRUNCATION_SIGMAS = 3.0
 _SLAB = 4  # x-layers per z pass; numpy copies a slab that overlaps its output
 _YBLOCK = 8  # y-rows per transfer block; on a 128^3 orientation 4-16 tie, 32 and 128 are slower
-_DIRECT_POINTS = 7  # largest support summed directly; 19 points (Gaussian 0.5) tie with FFT
+_DIRECT_POINTS = 7  # the cross, summed directly; 19 points (Gaussian 0.5) tie with FFT
 
 
 @dataclass(frozen=True)
@@ -114,12 +113,12 @@ def _box_samples(kernel: Kernel, dims, h: float):
 
 
 def route(kernel: Kernel, dims, spacing: float):
-    """How ``fft_convolve`` filters, "identity" (no kernel), "direct" or "fft", and
-    by what: the samples and indices of ``_box_samples``, a lone 1 for no kernel."""
-    if kernel is None:
-        return "identity", np.ones((1, 1, 1)), None
-    box, idx = _box_samples(kernel, dims, spacing)
-    return ("direct" if np.count_nonzero(box) <= _DIRECT_POINTS else "fft"), box, idx
+    """How ``fft_convolve`` filters, and by what samples (``_box_samples``'): "identity"
+    for no kernel or a one-point support, whose lone sample is 1, "direct" for the
+    7-point cross, "fft" for larger supports."""
+    box = np.ones((1, 1, 1)) if kernel is None else _box_samples(kernel, dims, spacing)[0]
+    points = np.count_nonzero(box)
+    return ("identity" if points == 1 else "direct" if points <= _DIRECT_POINTS else "fft"), box
 
 
 def kernel_transfer(kernel: Kernel, dims, spacing: float):
@@ -180,57 +179,32 @@ def apply_transfer(values: np.ndarray, transfer, buf: np.ndarray) -> np.ndarray:
     return fields.reshape(values.shape)
 
 
-def _direct_sum(image: VoxelGrid, box: np.ndarray, idx, out) -> np.ndarray:
-    """sum_k box[k] values[x - k] over the support points k, an x-slab at a time,
-    into ``out`` (or a new array for None).  Points of equal weight are added
-    first, in one order for every voxel, and scaled once, Horner-like:
-    w1 S1 + w2 S2 = (S1 w1 / w2 + S2) w2."""
-    weights = sorted(set(box[box != 0].tolist()))
-    factors = [a / b for a, b in zip(weights, weights[1:])] + weights[-1:]
-    if out is None:
-        out = np.zeros(image.dims)  # zeroed by calloc: no slower than np.empty here
-    else:
-        out.fill(0)
-    r = len(box) // 2  # box offsets 0..r, -r..-1 on each axis
-    buf = np.empty((_SLAB + 2 * r,) + out.shape[1:])  # a slab's values with their x halo
-    for x0 in range(0, len(out), _SLAB):
-        acc = out[x0:x0 + _SLAB]
-        vals = image.layers(x0 - r, x0 + len(acc) + r, buf[:len(acc) + 2 * r])
-        for w, factor in zip(weights, factors):
-            for k in zip(*np.nonzero(box == w)):  # C order of the box
-                sx = r - (k[0] if k[0] <= r else k[0] - len(box))  # vals' layer of x0 - kx
-                reads = map(wrap_pieces, out.shape[1:], (0, 0), out.shape[1:],
-                            [-idx[1][k[1]], -idx[2][k[2]]])
-                for (py, (ry,)), (pz, (rz,)) in itertools.product(*reads):
-                    # by x-layers: numpy buffers a strided 3-D add in twice the memory
-                    for a, v in zip(acc, vals[sx:sx + len(acc)]):
-                        a[py, pz] += v[ry, rz]
-            acc *= factor
-    return out
-
-
 def fft_convolve(image: VoxelGrid, kernel: Kernel, out: np.ndarray | None = None) -> np.ndarray:
     """Convolve a gray-value image with a kernel, treating the grid as periodic.
 
-    A router (``route``): the support's point count picks the direct sum or
-    apply_transfer, each reading the image by x-slabs, or copies the values for
-    ``kernel=None``.  Returns the field, a new array or, given ``out`` (a
-    ``field_buffer(dims)`` row), a view of its front, so that no grid of its own is
-    allocated.  The output is clipped to [0, 1] to absorb round-off; values outside
-    [-1e-6, 1 + 1e-6] indicate a normalization bug and raise NumericalError.
+    A router (``route``) reading the image by ``VoxelGrid.slabs``: the identity copies
+    the values, the direct route scales the 7-point cross of each slab's stored numbers
+    (exact integers at depth p) once, larger supports go through apply_transfer.
+    Returns the field, a new array or, given ``out`` (a ``field_buffer(dims)`` row), a
+    view of its front, so that no grid of its own is allocated.  A filtered output is
+    clipped to [0, 1] to absorb round-off; values outside [-1e-6, 1 + 1e-6] indicate a
+    normalization bug and raise NumericalError.
     """
     dims = image.dims
-    way, box, idx = route(kernel, dims, image.spacing)
-    if way != "direct" and out is None:
-        out = field_buffer(dims)
-    field = None if out is None else out[:np.prod(dims)].reshape(dims)
-    if way == "direct":
-        field = _direct_sum(image, box, idx, field)
-    else:  # the values into the field by x-slabs, and the FFT filters them there
-        for x0 in range(0, dims[0], _SLAB):
-            field[x0:x0 + _SLAB] = image.layers(x0, min(x0 + _SLAB, dims[0]))
-        if way == "identity":
-            return field
+    way, box = route(kernel, dims, image.spacing)
+    if out is None:  # the direct route's field holds no spectrum
+        out = np.empty(np.prod(dims)) if way == "direct" else field_buffer(dims)
+    field = out[:np.prod(dims)].reshape(dims)
+    m = 1 if image.depth is None else color_steps(image.depth)
+    c = box.flat[0]  # the center's weight; the faces' is box[1, 0, 0]
+    for x0, x1, s in image.slabs(int(way == "direct")):
+        if way == "direct":
+            np.multiply(cross(s, box[1, 0, 0] / c), c / m, out=field[x0:x1])
+        else:  # the values, which the FFT filters in place
+            np.divide(s, m, out=field[x0:x1])
+    if way == "identity":
+        return field
+    if way == "fft":
         field = apply_transfer(field, kernel_transfer(kernel, dims, image.spacing), out)
     lo, hi = float(field.min()), float(field.max())
     if lo < -1e-6 or hi > 1 + 1e-6:

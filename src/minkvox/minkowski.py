@@ -41,7 +41,6 @@ scale is taken back off.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -49,7 +48,7 @@ import numpy as np
 
 from .errors import NumericalError
 from .filters import Kernel, fft_convolve, route
-from .gradient import SLAB, differences, wrap_pieces
+from .gradient import SLAB, cross, differences
 from .voxelgrid import VoxelGrid, color_steps
 
 __all__ = [
@@ -184,22 +183,21 @@ def _float_sums(image: VoxelGrid, kernel: Kernel, scheme: str, eps_rel: float):
     image, with c = div, over x-slabs in two passes: max |d|^2, then |d| and the
     weighted outer products."""
     f = None if kernel is None else fft_convolve(image, kernel)
-    nx = image.dims[0]
-    starts = range(0, nx, SLAB)
+    m = image.depth and color_steps(image.depth)  # None for a continuous image
 
-    def slab(x0):
-        if f is None:  # no kernel: the image's slab and its halo, no grid of values
-            x1 = min(x0 + SLAB, nx)
-            d, div = differences(image.layers(x0 - 1, x1 + 1), 1, x1 - x0 + 1, scheme)
-        else:
-            d, div = differences(f, x0, x0 + SLAB, scheme)
+    def slab(v, x0, x1):  # d, |d|^2 and div of x-layers x0:x1 of v
+        d, div = differences(v, x0, x1, scheme)
         d = d.reshape(3, -1)
         return d, np.einsum("ij,ij->j", d, d), div
 
-    top = math.sqrt(max(float(sq.max()) for _, sq, _ in map(slab, starts)))  # bitwise max |d|
+    def slabs():  # no filter: the image's slabs with their halo, no grid of values
+        if f is None:
+            return (slab(s / m if m else s, 1, len(s) - 1) for _, _, s in image.slabs(1))
+        return (slab(f, x0, x0 + SLAB) for x0 in range(0, len(f), SLAB))
+
+    top = math.sqrt(max(float(sq.max()) for _, sq, _ in slabs()))  # bitwise max |d|
     total, count, w = 0.0, 0, np.zeros(6)
-    for x0 in starts:
-        d, norms, div = slab(x0)
+    for d, norms, div in slabs():
         total += float(np.sqrt(norms, out=norms).sum())
         keep = norms > 0.0
         count += int(np.count_nonzero(keep))
@@ -227,25 +225,11 @@ def _integer_sums(image: VoxelGrid, points: int, scheme: str, eps_rel: float):
         sum |d| = sum_q count[q] sqrt q,   sum_q M[q] 2^k / (sqrt q + eps_rel sqrt(max q)),
 
     each a correctly rounded sum (math.fsum) over the classes."""
-    index, m = image.index, color_steps(image.depth)
-
-    def colors(xs):  # the indices of layers xs, read periodically
-        return index.take(xs, axis=0, mode="wrap").astype(np.int16)
-
-    nx = len(index)
+    m = color_steps(image.depth)
     bins = 3 * (points * m) ** 2 + 1
     counts, sums = np.zeros(bins, np.int64), np.zeros((6, bins))
-    halo = 1 + (points == 7)  # layers beyond an x-slab that its differences read
-    ks = colors(range(-halo, halo))
-    for x0 in range(0, nx, SLAB):  # ks: layers x0 - halo to x1 + halo; no grid of indices
-        ks = np.concatenate((ks[-2 * halo:], colors(range(x0 + halo, min(x0 + SLAB, nx) + halo))))
-        n = ks
-        if points == 7:  # N of layers 1:-1
-            mid, n = ks[1:-1], ks[:-2] + ks[1:-1] + ks[2:]
-            for axis, shift in itertools.product((1, 2), (1, -1)):
-                src, dst = np.moveaxis(mid, axis, 0), np.moveaxis(n, axis, 0)
-                for piece, (r,) in wrap_pieces(len(src), 0, len(src), shift):
-                    dst[piece] += src[r]
+    for _, _, s in image.slabs(1 + (points == 7)):  # no grid of indices
+        n = s if points == 1 else cross(s)  # N, with a halo of one layer
         d, div = differences(n, 1, len(n) - 1, scheme)
         d = d.reshape(3, -1)
         d = np.compress(d.any(axis=0), d, axis=1)
@@ -289,12 +273,13 @@ def analyze(
     if not 0 <= eps_rel < np.inf:
         raise ValueError(f"eps_rel must be non-negative and finite, got {eps_rel}")
     # the support decides, as in fft_convolve: N / (K m) for K = 1 or 7 points of one weight
-    way, box, _ = route(kernel, image.dims, image.spacing)
+    way, box = route(kernel, image.dims, image.spacing)
     points = int(np.count_nonzero(box)) if np.ptp(box[box != 0]) == 0 else None
     if image.depth and points in (1, 7) and 3 * (points * color_steps(image.depth))**2 < _BINS:
         way = "integer"
         total, sums, k, count, top, c = _integer_sums(image, points, scheme, eps_rel)
     else:
+        kernel = None if way == "identity" else kernel  # no whole-grid field of the values
         total, sums, k, count, top, c = _float_sums(image, kernel, scheme, eps_rel)
     h = image.spacing
     gmax = top / c / h

@@ -7,6 +7,8 @@ from decimal import Decimal
 
 import numpy as np
 
+from .gradient import SLAB
+
 __all__ = [
     "VoxelGrid",
     "ValueCheck",
@@ -86,7 +88,7 @@ class VoxelGrid:
     1/(p^3 - 1) otherwise), and the grid stores only ``index``, the read-only C
     array of the k in np.min_scalar_type(m): 1 B/voxel up to depth 6, 2 up to
     depth 40.  Its ``values``, index / m, are made anew on each read (8 B/voxel);
-    the program reads ``index`` or ``layers``.  Grids are frozen and can be shared
+    the program reads ``index`` or ``slabs``.  Grids are frozen and can be shared
     freely.  A caller's array is never written or frozen: depth-p values, or their
     float32 images, are checked into the index by x-layers, continuous ones copied
     once.
@@ -135,15 +137,19 @@ class VoxelGrid:
     def dims(self) -> tuple[int, int, int]:
         return self._data.shape
 
-    def layers(self, x0: int, x1: int, out: np.ndarray | None = None) -> np.ndarray:
-        """The gray values of x-layers x0:x1, read periodically: bitwise
-        ``values[x0:x1]``, a view of it within a continuous grid; a depth-p grid's
-        go into ``out``, where given."""
-        if 0 <= x0 <= x1 <= len(self._data):
-            part = self._data[x0:x1]
-        else:
-            part = self._data.take(range(x0, x1), 0, None if self.depth else out, "wrap")
-        return part if self.depth is None else np.divide(part, color_steps(self.depth), out=out)
+    def slabs(self, halo: int):
+        """Yield ``(x0, x1, s)`` over the x-slabs x0:x1 of gradient.SLAB layers: ``s``
+        holds layers x0 - halo to x1 + halo of the stored numbers, read periodically,
+        each converted once, a depth-p grid's color indices to np.min_scalar_type(-7 m),
+        which holds 7-point sums and their differences, a continuous grid's values read
+        in place where the layers lie in the grid."""
+        data, depth, nx = self._data, self.depth, len(self._data)
+        dtype = np.float64 if depth is None else np.min_scalar_type(-7 * color_steps(depth))
+        for x0 in range(0, nx, SLAB):
+            x1 = min(x0 + SLAB, nx)
+            lo, hi = x0 - halo, x1 + halo
+            s = data[lo:hi] if 0 <= lo and hi <= nx else data.take(range(lo, hi), 0, mode="wrap")
+            yield x0, x1, s.astype(dtype, copy=False)
 
     @property
     def values(self) -> np.ndarray:

@@ -300,8 +300,8 @@ def test_analyze_of_shifted_volume_is_identical(capsys, tmp_path):
         store_volume(rolled, str(shifted))
         for kernel, ref, out in zip(kernels, base, reports(shifted)):
             case = (offset, kernel)
-            # V, the float sum of the values, is not shift-invariant by construction
-            # (its rounding follows their order), but it is for this volume
+            # V, h^3 (sum k) / m of the depth-3 volume, is an exact integer sum divided
+            # once, so it too is shift-invariant by construction
             assert out["volume"] == ref["volume"], case
             assert out["surface_area"] == ref["surface_area"], case
             assert out["normal_tensor"] == ref["normal_tensor"], case
@@ -328,6 +328,8 @@ def test_analyze_json_reports_interface_voxels_and_gmax(capsys, tmp_path):
                                          "spacing_um", "dims"}
     rc, out, _ = _run(capsys, "analyze", "--in", one, "--kernel", "ball")
     assert rc == 0 and json.loads(out)["route"] == "direct"  # the continuous grid
+    rc, out, _ = _run(capsys, "analyze", "--in", one, "--kernel", "ball", "--sigma", 0.4)
+    assert rc == 0 and json.loads(out)["route"] == "identity"  # a one-point support
     path = _gen_ball(capsys, tmp_path)  # depth 3: 99,373 classes with the ball
     for kernel, route in (("none", "integer"), ("ball", "integer"), ("gaussian", "fft")):
         rc, out, _ = _run(capsys, "analyze", "--in", path, "--kernel", kernel)
@@ -425,6 +427,22 @@ def test_convergence_bad_aspect_exits_1(capsys, monkeypatch, shape, aspect):
     assert rc == 1 and out == "", err
     assert err.startswith("minkvox: error:") and err.count("\n") == 1
     assert "aspect" in err and err.rstrip().endswith(f"got {float(aspect)}"), err
+
+
+@pytest.mark.parametrize("shape", ["ball", "cylinder"])
+@pytest.mark.parametrize("diameter", ["nan", "0", "-4", "inf"])
+def test_convergence_bad_diameter_exits_1(capsys, monkeypatch, shape, diameter):
+    # refused for either shape before anything is voxelized, naming the diameter
+    # rather than the ball center or radius it would make
+    def no_voxelize(*args, **kwargs):
+        raise AssertionError("the diameter is checked before anything is voxelized")
+
+    monkeypatch.setattr(convergence, "voxelize", no_voxelize)
+    rc, out, err = _run(capsys, "convergence", "--shape", shape, f"--diameter={diameter}",
+                        "--resolutions", 4)
+    assert rc == 1 and out == "", err
+    assert err.startswith("minkvox: error:") and err.count("\n") == 1
+    assert "diameter" in err and err.rstrip().endswith(f"got {float(diameter)}"), err
 
 
 @pytest.mark.parametrize("argv", [

@@ -316,10 +316,12 @@ def test_orientation_memory_peak():
     # spectra (6 x 8.25), the first filter's field in the last of them; beside
     # these, slab and chunk scratch only: the blur's support rows and one
     # transfer block (under 2 at 64^3), or the eigen stage's chunk temporaries
-    # (about 12; peak 69.2).  A whole-grid trace and mask beside the chunks
+    # (about 12; peak 68.64, 68.69 when the direct filter summed a 6-layer float64
+    # buffer point by point).  A whole-grid trace and mask beside the chunks
     # add 9 (79.6), a whole-grid transfer held through the blurs 8.25, and a
     # whole-grid gradient and per-component temporaries reached about 108.  A
-    # depth-2 image is read by slabs of the first filter from its index (68.7 too)
+    # depth-2 image is read by slabs of the first filter from its index (68.64
+    # with the direct filter's int8 cross sums, as when it summed float64 values)
     for depth in (None, 2):
         image = random_grid(np.random.default_rng(94), (64, 64, 64), depth=depth)
         peak = traced_peak(structure_tensor_orientation, image, BallKernel(1.2), GaussianKernel(2.0))

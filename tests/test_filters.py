@@ -7,6 +7,7 @@ from minkvox import (
     GaussianKernel,
     VoxelGrid,
     analyze,
+    color_steps,
     fft_convolve,
     voxelize,
 )
@@ -207,14 +208,15 @@ def test_stacked_fields_equal_one_field_calls():
 
 
 def test_fft_convolve_memory_peak():
-    # the 7-point ball is summed into one plain array, 8 B/voxel, plus numpy's
-    # buffers for the strided z-shifted reads of one x-layer and the slab's values
-    # with their x halo, 6 layers, 3/32 of the grid here (9.21); 3-D adds of whole
-    # slabs take buffers twice as large (9.59).  The Gaussian goes through
-    # the FFT: the padded buffer, 8 (nz + 2) / nz = 8.25 B/voxel at nz = 64, plus
-    # the support rows, one transfer block and numpy's copy of a z-pass slab that
-    # overlaps its output, as the values are transformed in place (11.7); a whole-grid transfer adds 8.25 more, and so does a separate
-    # spectrum or the grid's float64 values
+    # the 7-point ball is the cross sum of each slab's int8 indices with their
+    # one-layer x halo, scaled into one plain array, 8 B/voxel, plus the slab's
+    # float64 cross sum (8.54; 9.21 when the slab and its halo were read as float64
+    # values into a 6-layer buffer and summed point by point).  The Gaussian goes
+    # through the FFT: the padded buffer, 8 (nz + 2) / nz = 8.25 B/voxel at nz = 64,
+    # plus the support rows, one transfer block and numpy's copy of a z-pass slab
+    # that overlaps its output, as the values are transformed in place (11.79; 11.72
+    # before the values were filled from int8 slabs); a whole-grid transfer adds 8.25
+    # more, and so does a separate spectrum or the grid's float64 values
     grid = voxelize(fiber_lattice_64(), (64, 64, 64), 1.0, 2)
     for kern, bound in ((BallKernel(1.2), 9.5), (GaussianKernel(1.2), 12.5)):
         peak = traced_peak(fft_convolve, grid, kern)
@@ -224,13 +226,16 @@ def test_fft_convolve_memory_peak():
 def test_filtered_analyze_memory_peak():
     # the caller's grid is not counted.  On the float route (the same values as a
     # continuous grid) the filtered field (8 B/voxel) and then the 4-layer slab pass
-    # of S and W (4.5 at 64^3, as without a filter) read 12.4; a whole-grid transfer
+    # of S and W (4.5 at 64^3, as without a filter) read 10.94 (10.97 when the direct
+    # filter summed a 6-layer float64 buffer point by point); a whole-grid transfer
     # held through the filter reads 17.5.  The depth-2 grid takes the integer route,
-    # whose slab scratch reads 3.49 (0.97 of the 3.6 that reading float64 values
-    # took); a whole-grid int16 index would add 2, the grid's float64 values 8.
-    # A depth-6 grid has too many classes for the integer route; with no kernel
-    # its differences come from x-slabs of k/m with their halo, and the slab
-    # passes read 5.16, where a float64 grid of its values held through them added 8
+    # whose slab scratch of int8 indices and their cross sums reads 3.21 (3.49 with
+    # int16 slabs, 3.6 with float64 values); a whole-grid int16 index would add 2,
+    # the grid's float64 values 8.  A depth-6 grid has too many classes for the
+    # integer route; with no kernel its differences come from x-slabs of k/m with
+    # their halo, and the slab passes read 5.43 (5.15 before the slab iterator held
+    # its int16 slab beside them), where a float64 grid of its values held through
+    # them added 8
     grid = voxelize(fiber_lattice_64(), (64, 64, 64), 1.0, 2)
     depth6 = random_grid(np.random.default_rng(52), (64, 64, 64), depth=6)
     for g, kernel, bound in ((VoxelGrid(grid.values, 1.0, None), BallKernel(1.2), 15),
@@ -281,6 +286,19 @@ def test_direct_route_is_bitwise_shift_equivariant():
             assert np.array_equal(a, np.roll(out, d, axis=(0, 1, 2))), (kern, d)
 
 
+def test_direct_route_sums_a_depth_p_grids_indices_exactly():
+    # the 7-point sum of the color indices is an exact integer, scaled once by the
+    # ball's one weight over m: equal integer sums give bitwise equal values
+    rng = np.random.default_rng(53)
+    for depth, dims in ((2, (12, 10, 9)), (3, (3, 5, 4))):
+        g = random_grid(rng, dims, depth=depth)
+        k = g.index.astype(np.int64)
+        n = k + sum(np.roll(k, s, axis) for axis in range(3) for s in (1, -1))
+        scale = sampled_kernel(BallKernel(1.2), dims, 1.0)[0, 0, 0] / color_steps(depth)
+        got = fft_convolve(g, BallKernel(1.2))
+        assert np.array_equal(got, np.clip(n * scale, 0.0, 1.0)), depth
+
+
 def test_direct_route_keeps_flat_regions_exact():
     # the solid slab covers layers 6..13; ball 1.2 reaches one layer across,
     # so layers 5, 6, 13 and 14 are mixed and every other one is flat
@@ -299,12 +317,15 @@ def test_convolution_preserves_constants():
 
 def test_convolution_none_is_identity():
     # a new field holds a bitwise copy of the values: a continuous grid's stored
-    # floats, a depth-p grid's colors made from its index
+    # floats, a depth-p grid's colors made from its index.  A one-point support,
+    # whose only sample is exactly 1, is routed as no kernel
     rng = np.random.default_rng(3)
     g = random_grid(rng, (10, 11, 12))
-    assert fft_convolve(g, None).tobytes() == g.values.tobytes()
-    g = random_grid(rng, (10, 11, 12), depth=2)
-    assert fft_convolve(g, None).tobytes() == (g.index / 7).tobytes() == g.values.tobytes()
+    d2 = random_grid(rng, (10, 11, 12), depth=2)
+    for kern in (None, BallKernel(0.4), GaussianKernel(0.3)):
+        assert filters.route(kern, g.dims, 1.0)[0] == "identity", kern
+        assert fft_convolve(g, kern).tobytes() == g.values.tobytes(), kern
+        assert fft_convolve(d2, kern).tobytes() == (d2.index / 7).tobytes() == d2.values.tobytes()
 
 
 def test_convolution_preserves_mean():

@@ -558,6 +558,23 @@ def test_integer_route_edges_agree_with_the_float_route(monkeypatch):
             assert r.interface_voxels == _float_route(g, kernel, scheme).interface_voxels
 
 
+def test_one_point_supports_are_no_kernel(monkeypatch):
+    # a one-point support's only sample is exactly 1: on either route, analyze runs
+    # no filter and gives bitwise what no kernel gives, route included
+    calls = _counting_filter(monkeypatch)
+    rng = np.random.default_rng(82)
+    for g in (random_grid(rng, (9, 7, 8)), random_grid(rng, (7, 9, 6), depth=2)):
+        none = analyze(g, None)
+        for kernel in (BallKernel(0.4), GaussianKernel(0.3)):
+            r = analyze(g, kernel)
+            assert not calls, (g.depth, kernel)
+            assert r.route == none.route == ("identity" if g.depth is None else "integer")
+            for field in ("volume", "surface_area", "beta", "interface_voxels", "gmax"):
+                assert getattr(r, field) == getattr(none, field), (g.depth, kernel, field)
+            assert np.array_equal(r.normal_tensor.mat, none.normal_tensor.mat)
+            assert np.array_equal(r.qnt.mat, none.qnt.mat)
+
+
 def test_inputs_above_the_class_bound_take_the_float_route(monkeypatch):
     # no kernel: 3 m^2 + 1 classes are 46,129 at depth 5 and 138,676 at depth 6;
     # ball 1.2: 99,373 at depth 3 and 583,444 at depth 4; the bound is 2^17

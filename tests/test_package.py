@@ -79,6 +79,14 @@ def test_no_function_leaves_a_parameter_unused():
     assert not unused
 
 
+def test_sources_parse_as_python_3_10():
+    # pyproject's floor is Python 3.10: the grammar of every source, best effort, as
+    # ast checks syntax only; a library API newer than 3.10 is not caught
+    for root in ("src/minkvox", "tests", "perfbench"):
+        for path in sorted((SRC.parent / root).rglob("*.py")):
+            ast.parse(path.read_text(), str(path), feature_version=(3, 10))
+
+
 def test_python_dash_m_runs_the_cli(monkeypatch, capsys):
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     run = subprocess.run([sys.executable, "-m", "minkvox", "--help"], env=env,

@@ -21,12 +21,15 @@ from minkvox import (
     voxelize,
 )
 
+from minkvox.gradient import SLAB
+
 from gridmakers import (
     color_set,
     cube_symmetries,
     displaced_ball,
     fiber_lattice_64,
     quantize,
+    random_grid,
     shift,
     traced_peak,
 )
@@ -163,6 +166,36 @@ def test_grid_copies_a_callers_array_once():
     for name, (a, depth, bound) in inputs.items():
         peak = traced_peak(VoxelGrid, a, 1.0, depth)
         assert peak / a.size <= bound, (name, peak / a.size)
+
+
+def test_slabs_read_the_stored_numbers_periodically():
+    # every reader's one slab iterator: each s is the stored numbers of layers
+    # x0 - halo .. x1 + halo taken with wrap, the slabs tile 0..nx, and a depth-p
+    # grid's indices come signed, room for the 7-point sums of ±7 m; nx runs below
+    # the slab and below 2 halo, and depth 41 has a u32 index
+    rng = np.random.default_rng(17)
+    for depth in (1, 2, 3, 41, None):
+        for nx in (2, 3, SLAB + 1, 2 * SLAB + 3):
+            dims = (nx,) + tuple(int(n) for n in rng.integers(2, 7, size=2))
+            g = random_grid(rng, dims, depth=depth)
+            stored = g.values if depth is None else g.index
+            for halo in (0, 1, 2):
+                ends = []
+                for x0, x1, s in g.slabs(halo):
+                    ref = np.take(stored, range(x0 - halo, x1 + halo), axis=0, mode="wrap")
+                    assert np.array_equal(s, ref) and s.shape == ref.shape, (depth, nx, halo)
+                    assert 0 < x1 - x0 <= SLAB
+                    if depth is None:
+                        assert s.dtype == np.float64
+                        inside = 0 <= x0 - halo and x1 + halo <= nx
+                        assert np.shares_memory(s, stored) == inside, (nx, halo, x0)
+                    else:
+                        m, info = color_steps(depth), np.iinfo(s.dtype)
+                        assert info.min <= -7 * m and 7 * m <= info.max, (depth, s.dtype)
+                    ends.append((x0, x1))
+                assert [x for x0, x1 in ends for x in range(x0, x1)] == list(range(nx))
+    assert next(random_grid(rng, (3, 3, 3), depth=2).slabs(1))[2].dtype == np.int8
+    assert next(random_grid(rng, (3, 3, 3), depth=3).slabs(1))[2].dtype == np.int16
 
 
 def test_depth_p_grids_run_without_their_float_values(tmp_path, monkeypatch):
