@@ -21,7 +21,8 @@ from .minkowski import (COMPONENTS, DEFAULT_EPS_REL, FULL, SymTensor3, analyze,
 from .fiberorient import DEFAULT_MASK_THRESHOLD_REL, structure_tensor_orientation
 from .gradient import SCHEMES
 from .volio import load_volume, store_volume
-from .voxelgrid import Ball, Cylinder, Laminate, ShapeUnion, shape_in_box, voxelize
+from .voxelgrid import (Ball, Cylinder, Laminate, ShapeUnion, check_dims, check_spacing,
+                        shape_in_box, voxelize)
 
 __all__ = ["main", "make_kernel"]
 
@@ -145,14 +146,16 @@ def _shape_from_args(args, box):
 
 
 def _cmd_generate(args) -> int:
-    box = np.asarray(args.dims) * args.spacing
+    dims = check_dims(args.dims)
+    check_spacing(args.spacing)  # both before a shape is built or boxed
+    box = np.asarray(dims) * args.spacing
     shape = _shape_from_args(args, box)
-    if not shape_in_box(shape, args.dims, args.spacing):
+    if not shape_in_box(shape, dims, args.spacing):
         raise ValueError(
             f"shape does not fit into the box [0, {box[0]}]x[0, {box[1]}]"
             f"x[0, {box[2]}] um; shapes are not wrapped periodically"
         )
-    grid = voxelize(shape, tuple(args.dims), args.spacing, depth=args.depth)
+    grid = voxelize(shape, dims, args.spacing, depth=args.depth)
     if not grid.index.any():
         raise ValueError(f"shape covers no sample point at --depth {args.depth}")
     dtype = None if args.dtype == "auto" else args.dtype

@@ -11,7 +11,7 @@ import numpy as np
 from .analytic import FiberSpec, ball_quantities, cylinder_quantities
 from .errors import DegenerateImageError
 from .minkowski import DEFAULT_EPS_REL, analyze, relative_tensor_error
-from .voxelgrid import SPACING_RANGE_UM, Ball, Cylinder, voxelize
+from .voxelgrid import Ball, Cylinder, check_spacing, voxelize
 
 __all__ = ["ConvergenceRow", "run_convergence"]
 
@@ -68,7 +68,6 @@ def run_convergence(
     if not 0 < aspect < np.inf:  # for a ball too, which does not use it
         raise ValueError(f"aspect (L/D) must be positive and finite, got {aspect}")
     disp = np.asarray(displacement, dtype=float).tolist()  # floats: inf - inf is NaN, unwarned
-    lo, hi = SPACING_RANGE_UM
     if shape == "ball":
         box = (box_factor,) * 3
         fiber = None
@@ -82,9 +81,7 @@ def run_convergence(
         if not (0 < res < np.inf):
             raise ValueError(f"resolutions (D/h) must be positive and finite, got {res}")
         h = diameter / res
-        # before the references: a ball volume overflows long before h does
-        if not lo <= h <= hi:
-            raise ValueError(f"voxel size D/(D/h) = {h} um is outside [{lo:g}, {hi:g}] um")
+        check_spacing(h)  # before the references: a ball volume overflows long before h does
         dims = tuple(int(round(b * res)) for b in box)
         body = body_at(tuple(n * h / 2 + x for n, x in zip(dims, disp)))
         for p in depths:

@@ -295,11 +295,9 @@ def analyze(
     if count > 0:  # from the lattice sums: the same at any h, and unrounded by a subnormal W
         q = SymTensor3(unit_trace(mat))
         beta = eigenvalue_ratio(q)
-    if image.depth:  # exact int64 sums of x-layers (Python ints for a u64 index), divided once
-        dtype = object if image.index.itemsize == 8 else np.int64
-        volume = sum(int(k.sum(dtype=dtype)) for k in image.index) / color_steps(image.depth)
-    else:
-        volume = float(image.values.sum())
+    # a depth-p V: one int64 sum of indices below 2^24, exact below 2^39 voxels, divided once
+    volume = (int(image.index.sum(dtype=np.int64)) / color_steps(image.depth) if image.depth
+              else float(image.values.sum()))
     return MinkowskiSummary(volume=volume * h**3, surface_area=total / c * (h * h),
                             normal_tensor=SymTensor3(w), qnt=q, beta=beta,
                             interface_voxels=count, gmax=gmax, route=way)

@@ -20,6 +20,7 @@ __all__ = [
     "shape_in_box",
     "voxelize",
     "check_cylinder",
+    "check_dims",
     "check_spacing",
     "SPACING_RANGE_UM",
 ]
@@ -36,11 +37,19 @@ def check_spacing(spacing: float) -> None:
         raise ValueError(f"spacing must lie in [{lo:g}, {hi:g}] um, got {spacing}")
 
 
+def check_dims(dims) -> tuple[int, int, int]:
+    """The grid dims as three ints; raise ValueError unless each is at least 2."""
+    dims = tuple(int(n) for n in dims)
+    if len(dims) != 3 or min(dims) < 2:
+        raise ValueError(f"dims must be three integers >= 2, got {dims}")
+    return dims
+
+
 def color_steps(depth: int) -> int:
     """Number of gray-value steps of a depth-p image: 1 for binary, p^3 - 1 otherwise.
-    From 2^53 steps on, the colors k / m are no longer distinct doubles."""
-    if depth < 1 or depth**3 > 2**53:
-        raise ValueError(f"depth must lie in [1, 208063] (p^3 - 1 < 2^53), got {depth}")
+    Up to p = 256, m < 2^24 and the colors k / m have distinct float32 images."""
+    if not 1 <= depth <= 256:
+        raise ValueError(f"depth must lie in [1, 256] (p^3 - 1 < 2^24), got {depth}")
     return 1 if depth == 1 else depth**3 - 1
 
 
@@ -87,11 +96,11 @@ class VoxelGrid:
     only the colors k/m, m = color_steps(p) ({0, 1} for p = 1, multiples of
     1/(p^3 - 1) otherwise), and the grid stores only ``index``, the read-only C
     array of the k in np.min_scalar_type(m): 1 B/voxel up to depth 6, 2 up to
-    depth 40.  Its ``values``, index / m, are made anew on each read (8 B/voxel);
-    the program reads ``index`` or ``slabs``.  Grids are frozen and can be shared
-    freely.  A caller's array is never written or frozen: depth-p values, or their
-    float32 images, are checked into the index by x-layers, continuous ones copied
-    once.
+    depth 40, 4 up to depth 256, the last.  Its ``values``, index / m, are made
+    anew on each read (8 B/voxel); the program reads ``index`` or ``slabs``.
+    Grids are frozen and can be shared freely.  A caller's array is never written
+    or frozen: depth-p values, or their float32 images, are checked into the
+    index by x-layers, continuous ones copied once.
     """
 
     _data: np.ndarray
@@ -106,8 +115,7 @@ class VoxelGrid:
         vals = np.asarray(self._data)
         if vals.ndim != 3:
             raise ValueError(f"expected a 3D value array, got ndim={vals.ndim}")
-        if min(vals.shape) < 2:
-            raise ValueError(f"grid dims must all be >= 2, got {vals.shape}")
+        check_dims(vals.shape)
         check_spacing(self.spacing)
         check = ValueCheck(self.depth)
         if self.depth is None:  # the one copy
@@ -299,10 +307,10 @@ def voxelize(shape, dims, spacing: float, depth: int = 1) -> VoxelGrid:
     spacing : float
         Voxel edge length h, within ``SPACING_RANGE_UM``.
     depth : int
-        Gray-value depth p.  For p = 1 a voxel is solid iff its center lies
-        inside the shape (boundary counts as inside).  For p > 1 the solid
-        sub-voxel centers are counted under the member boxes only, and each
-        count out of p^3 is snapped to the depth-p color set by a table.
+        Gray-value depth p, 1 to 256.  For p = 1 a voxel is solid iff its
+        center lies inside the shape (boundary counts as inside).  For p > 1
+        the solid sub-voxel centers are counted under each member box, and a
+        table writes each count out of p^3 as its depth-p color index there.
 
     Returns
     -------
@@ -311,20 +319,15 @@ def voxelize(shape, dims, spacing: float, depth: int = 1) -> VoxelGrid:
     the memory beyond the output to about 1 B/voxel.  A voxel layer of more
     than 2^26 samples, nx ny p^3, raises ValueError before anything is allocated.
     """
-    dims = tuple(int(n) for n in dims)
-    if len(dims) != 3 or min(dims) < 2:
-        raise ValueError(f"dims must be three integers >= 2, got {dims}")
+    dims = check_dims(dims)
     check_spacing(spacing)
-    m = color_steps(depth)
-
-    p = depth
+    p, m = depth, color_steps(depth)
     nx, ny, nz = dims
     layer = nx * ny * p**3  # sub-samples in one voxel layer, the smallest z-chunk
     if layer > 1 << 26:  # its shape tests take 8-32 B per sample
         count = Decimal(layer)  # beyond the float range for absurd dims
         raise ValueError(f"depth {p} needs {count:.3g} sub-samples per voxel layer, above 2^26")
-    fine = spacing / p
-    coords = [(np.arange(n * p) + 0.5) * fine for n in dims]
+    coords = [(np.arange(n * p) + 0.5) * (spacing / p) for n in dims]
     boxes = []
     for member in shape.members if isinstance(shape, ShapeUnion) else (shape,):
         lo, hi = member.bounds()
@@ -335,8 +338,10 @@ def voxelize(shape, dims, spacing: float, depth: int = 1) -> VoxelGrid:
         if (first < last).all():
             boxes.append((member, first, last))
 
-    # solid sub-samples per voxel; outside every box the block is all False
-    counts = np.zeros(dims, dtype=np.min_scalar_type(p**3))
+    # each count of solid sub-samples out of p^3 to its color index; outside every
+    # box the block is all False and the index 0
+    lut = np.floor(np.arange(p**3 + 1) / p**3 * m + 0.5).astype(np.min_scalar_type(m))
+    index = np.zeros(dims, lut.dtype)
     # chunk along z so that the fine boolean block holds at most one byte per
     # output voxel, or one voxel layer where that is larger
     zstep = max(layer, nx * ny * nz) // layer
@@ -354,15 +359,11 @@ def voxelize(shape, dims, spacing: float, depth: int = 1) -> VoxelGrid:
                 )
                 # exact for overlapping members too: the last box over a voxel
                 # counts it after every member before it is OR-ed in
-                c = block[sub].astype(counts.dtype)
+                c = block[sub].astype(np.min_scalar_type(p**3))
                 c = sum(c[i::p] for i in range(p))
                 c = sum(c[:, i::p] for i in range(p))
-                counts[x0:x1, y0:y1, za:zb] = sum(c[:, :, i::p] for i in range(p))
-    del block
-
-    # each count out of p^3 to its color index
-    lut = np.floor(np.arange(p**3 + 1) / p**3 * m + 0.5).astype(np.min_scalar_type(m))
-    return VoxelGrid.owning(lut[counts], spacing, p)
+                index[x0:x1, y0:y1, za:zb] = lut[sum(c[:, :, i::p] for i in range(p))]
+    return VoxelGrid.owning(index, spacing, p)
 
 
 def shape_in_box(shape, dims, spacing: float) -> bool:

@@ -70,6 +70,36 @@ def test_usage_errors_exit_1(capsys, tmp_path):
                           "--fiber", 1, 0, 0, 4, 4, 4, *size, "--out", tmp_path / "f.raw")
         assert rc == 1 and "requires --diameter and --length" in err
 
+    # spacing and dims are checked before the shape is built or boxed, so that the
+    # one error line names them rather than the box or the ball center they make
+    for flags, name in (
+        (("--spacing", 0), "spacing"), (("--spacing", -1), "spacing"),
+        (("--spacing", "nan"), "spacing"), (("--dims", 0, 8, 8), "dims"),
+        (("--dims", -4, 8, 8), "dims"),
+    ):
+        rc, out, err = _run(capsys, "generate", "--shape", "ball", "--dims", 8, 8, 8,
+                            "--diameter", 4, *flags, "--out", tmp_path / "s.raw")
+        assert rc == 1 and out == "", flags
+        assert err.startswith(f"minkvox: error: {name} must") and err.count("\n") == 1, err
+
+
+def test_depth_257_is_refused_with_one_error_line(capsys, tmp_path):
+    # 256 is the last depth whose colors have distinct float32 images
+    path = _gen_ball(capsys, tmp_path)
+    sidecar = Path(f"{path}.json")
+    sidecar.write_text(json.dumps(dict(json.loads(sidecar.read_text()), depth=257)))
+    for code, args in (
+        (2, ("analyze", "--in", path)),
+        (1, ("generate", "--shape", "ball", "--dims", 2, 2, 2, "--diameter", 1,
+             "--depth", 257, "--out", tmp_path / "g.raw")),
+        (1, ("convergence", "--diameter", 8, "--resolutions", 4, "--depths", 257)),
+    ):
+        rc, out, err = _run(capsys, *args)
+        assert rc == code and out == "", args
+        assert err.startswith("minkvox: error:") and err.count("\n") == 1, err
+        assert "depth must lie in [1, 256]" in err, err
+    assert not (tmp_path / "g.raw").exists()
+
 
 def test_usage_error_line_has_one_prefix(capsys):
     for args, message in (

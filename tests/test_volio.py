@@ -165,20 +165,25 @@ def test_load_memory_peak(tmp_path):
 
 
 def test_wide_color_indices_round_trip_and_sum_exactly(tmp_path):
-    # depth 41 (m = 68,920) holds a u32 index, which store writes from its values
-    # rather than a table of 68,921 colors; depth 1700 a u64 index, whose color sum
-    # goes through Python ints
+    # depths 41 (m = 68,920) and 256 (m = 2^24 - 1, the last) hold a u32 index, which
+    # store writes to f32 from its values rather than a table of m + 1 colors.  At
+    # depth 256 the float32 image of each color k / m lies less than half a step 1 / m
+    # from it, 2^23 / m the closest at 0.49999994 steps, so the file loads back the
+    # same indices; at depth 257, 98,688 of the colors would not.  No depth has a u64
+    # index: depth 1700 is refused
     rng = np.random.default_rng(40)
-    for depth, dtype in ((41, np.uint32), (1700, np.uint64)):
+    for depth in (41, 256):
         m = color_steps(depth)
-        k = rng.integers(0, m + 1, (3, 4, 5))
+        k = rng.integers(0, m + 1, (20, 16, 12))
+        k.flat[:5] = (0, 1, m // 2 + 1, m - 1, m)
         g = VoxelGrid(k / m, 0.5, depth)
-        assert g.index.dtype == dtype and np.array_equal(g.index, k), depth
-        assert analyze(g).volume == int(k.sum()) / m * 0.125, depth
-    g = VoxelGrid(rng.integers(0, 68921, (3, 4, 5)) / 68920, 0.5, 41)
-    store_volume(g, tmp_path / "w.raw")
-    back = load_volume(tmp_path / "w.raw")
-    assert back.index.dtype == np.uint32 and np.array_equal(back.index, g.index)
+        assert g.index.dtype == np.uint32 and np.array_equal(g.index, k), depth
+        store_volume(g, tmp_path / "w.raw")
+        back = load_volume(tmp_path / "w.raw")
+        assert back.index.dtype == np.uint32 and np.array_equal(back.index, k), depth
+        assert analyze(back).volume == int(k.sum()) / m * 0.125, depth
+    with pytest.raises(ValueError, match="depth must lie in"):
+        VoxelGrid(np.zeros((3, 4, 5)), 0.5, 1700)
 
 
 def test_f32_continuous_round_trip_close(tmp_path):
@@ -207,19 +212,20 @@ def test_short_payload_reports_lengths(tmp_path):
 
 
 def test_depth_beyond_distinct_colors_is_a_format_error(tmp_path):
-    # from p = 208064 on, m = p^3 - 1 >= 2^53 and the colors k / m are no longer distinct
-    # doubles; p = 10**110 and 10**400 give an m that overflows a float conversion
+    # from p = 257 on, m = p^3 - 1 >= 2^24 and the colors k / m no longer have distinct
+    # float32 images, so an f32 file could load back other indices; p = 208064 (m >=
+    # 2^53), 10**110 and 10**400 (an m that overflows a float conversion) lie beyond
     f = tmp_path / "d.raw"
     store_volume(VoxelGrid(np.zeros((2, 2, 2)), spacing=1.0, depth=2), f)
     meta = json.loads((tmp_path / "d.raw.json").read_text())
-    for depth in (208064, 10**110, 10**400):
+    for depth in (257, 208064, 10**110, 10**400):
         (tmp_path / "d.raw.json").write_text(json.dumps(dict(meta, depth=depth)))
         with pytest.raises(VolumeFormatError, match="depth must lie in"):
             load_volume(f)
         with pytest.raises(ValueError, match="depth must lie in"):
             VoxelGrid(np.zeros((2, 2, 2)), spacing=1.0, depth=depth)
         assert main(["analyze", "--in", str(f)]) == 2
-    assert color_steps(208063) == 208063**3 - 1 < 2**53
+    assert color_steps(256) == 2**24 - 1
 
 
 def test_malformed_sidecar_reports_position(tmp_path):

@@ -279,10 +279,11 @@ def test_voxelize_argument_validation():
         voxelize(ball, (4, 4, 4), -1.0, 1)
     with pytest.raises(ValueError):
         voxelize(ball, (4, 4, 4), 1.0, 0)
-    # one voxel layer at depth 400 holds 4.1e9 sub-samples; refused up front
+    # one 64 x 64 voxel layer at depth 26 holds 7.2e7 sub-samples, above 2^26;
+    # refused up front
     def refused():
         with pytest.raises(ValueError, match="sub-samples per voxel layer"):
-            voxelize(Ball(center=(4.0,) * 3, radius=2.0), (8, 8, 8), 1.0, 400)
+            voxelize(Ball(center=(32.0,) * 3, radius=2.0), (64, 64, 64), 1.0, 26)
 
     peak = traced_peak(refused)
     assert peak < 1 << 20
